@@ -15,8 +15,7 @@ type 'a tvar = 'a Tvar.t
 let tvar = Tvar.make
 
 type tx = {
-  ctx : Rwl_sf.ctx;
-  rset : int Util.Vec.t;
+  ctx : Rwl_sf.ctx; (* also holds the read set *)
   wlocks : int Util.Vec.t;
   undo : Wset.t;
   mutable depth : int;
@@ -49,7 +48,6 @@ let tx_key =
       let tid = Util.Tid.get () in
       {
         ctx = Rwl_sf.make_ctx ~tid;
-        rset = Util.Vec.create ~dummy:(-1) ();
         wlocks = Util.Vec.create ~dummy:(-1) ();
         undo = Wset.create ();
         depth = 0;
@@ -66,10 +64,7 @@ let read tx (tv : 'a tvar) : 'a =
   let t = Util.Once.get table in
   let w = Rwl_sf.lock_index t tv.id in
   if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then tv.v
-  else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then begin
-    Util.Vec.push tx.rset w;
-    tv.v
-  end
+  else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then tv.v
   else begin
     tx.abort_reason <-
       (if tx.ctx.Rwl_sf.deadline_hit then Obs.Events.Deadline
@@ -97,7 +92,7 @@ let write tx tv nv =
 let release tx =
   let t = Util.Once.get table in
   Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wlocks;
-  Util.Vec.iter (fun w -> Rwl_sf.read_unlock t tx.ctx w) tx.rset
+  Rwl_sf.read_unlock_all t tx.ctx
 
 let rollback tx =
   Wset.rollback tx.undo;
@@ -125,7 +120,6 @@ let wait_for_all_lower t tx =
   done
 
 let begin_attempt t tx =
-  Util.Vec.clear tx.rset;
   Util.Vec.clear tx.wlocks;
   Wset.clear tx.undo;
   tx.abort_reason <- Obs.Events.User_restart;

@@ -209,6 +209,10 @@ let acquire_write t ctx w =
             loop ()
           end
         end
+        else if ws = 0 then
+          (* The holder released between the CAS attempt and the load:
+             there is no one to wound, so retry the CAS. *)
+          loop ()
         else begin
           let holder = ws - 1 in
           ctx.o_tid <- holder;

@@ -36,6 +36,7 @@ type t = {
 
 type ctx = {
   tid : int;
+  rs : Read_indicator.read_set;
   mutable my_ts : int;
   mutable o_tid : int;
   mutable o_ts : int;
@@ -104,6 +105,7 @@ let set_obs t sc =
 let make_ctx ~tid =
   {
     tid;
+    rs = Read_indicator.read_set ();
     my_ts = 0;
     o_tid = -1;
     o_ts = 0;
@@ -142,12 +144,17 @@ let announce_priority t ctx ts =
   ctx.my_ts <- ts;
   Atomic.set t.announce.(ctx.tid) ts
 
+(* [take_timestamp] and [announce_priority] set [my_ts] before the slot,
+   so a non-zero slot implies [my_ts <> 0]: a transaction that never
+   announced skips the store into the slot, whose cache line it shares
+   with other threads' slots. *)
 let clear_announcement t ctx =
+  let announced = ctx.my_ts <> 0 in
   ctx.my_ts <- 0;
   ctx.o_tid <- -1;
   ctx.o_ts <- 0;
   ctx.o_lock <- -1;
-  Atomic.set t.announce.(ctx.tid) 0
+  if announced then Atomic.set t.announce.(ctx.tid) 0
 
 (* Effective timestamp of the current write-lock holder (+inf if the lock
    is free, held by us, or the holder never conflicted).  Records the
@@ -198,7 +205,7 @@ let try_or_wait_read_lock t ctx w =
   if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then spurious_fail ctx
   else begin
   if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
-  Read_indicator.arrive t.ri ~tid:ctx.tid w;
+  Read_indicator.arrive_into t.ri ctx.rs ~tid:ctx.tid w;
   if !Chaos.on then Chaos.point Chaos.Read_lock_check;
   let ws = Atomic.get t.wlocks.(w) in
   if ws = 0 || ws = ctx.tid + 1 then begin
@@ -353,6 +360,7 @@ let try_or_wait_write_lock t ctx w =
   end
 
 let read_unlock t ctx w = Read_indicator.depart t.ri ~tid:ctx.tid w
+let read_unlock_all t ctx = Read_indicator.depart_all t.ri ctx.rs
 let write_unlock t ctx w =
   ignore ctx;
   Atomic.set t.wlocks.(w) 0

@@ -19,6 +19,10 @@ type t
 
 type ctx = {
   tid : int;  (** dense thread id of the owner *)
+  rs : Rwlock.Read_indicator.read_set;
+      (** the read locks this ctx holds, as the indices of its indicator
+          words that may be non-zero; managed by this module (see
+          {!read_unlock_all}). *)
   mutable my_ts : int;
       (** this transaction's timestamp; 0 until the first conflict *)
   mutable o_tid : int;  (** thread that caused the last conflict, or -1 *)
@@ -54,6 +58,9 @@ val create : ?num_locks:int -> unit -> t
     and a multiple of 32. *)
 
 val make_ctx : tid:int -> ctx
+(** The ctx of thread [tid].  Use one ctx per (table, tid) pair: the read
+    set relies on no other ctx touching the tid's indicator words. *)
+
 val num_locks : t -> int
 
 val set_obs : t -> Twoplsf_obs.Scope.t -> unit
@@ -98,7 +105,28 @@ val try_or_wait_write_lock : t -> ctx -> int -> bool
     not double-log the lock for release).  [false] as for reads. *)
 
 val read_unlock : t -> ctx -> int -> unit
-(** Release the read side (clear this thread's indicator bit). *)
+(** Release the read side of one lock (clear this thread's indicator bit).
+    The lock's word stays in the read set. *)
+
+val read_unlock_all : t -> ctx -> unit
+(** Release every read lock the ctx holds — store 0 into each word of its
+    read set [rs] — and empty the read set: one store per touched word
+    rather than one per lock.  Commit and abort call this once, after
+    releasing their write locks.
+
+    Invariant: outside the window in which {!try_or_wait_write_lock}
+    arrives as a reader while it waits, every non-zero indicator word of
+    a (table, tid) pair is in the read set of that pair's ctx.  It holds
+    because
+    - a table has exactly one ctx per tid, and only that ctx sets the
+      tid's bits;
+    - {!try_or_wait_read_lock} records a word it finds zero before it sets
+      a bit in it;
+    - the writer's arrive-as-reader departs again before
+      {!try_or_wait_write_lock} returns, restoring the word;
+    - an upgrade's depart, like an early {!read_unlock}, can only make a
+      recorded word zero early, and clearing a zero word again is
+      idempotent. *)
 
 val write_unlock : t -> ctx -> int -> unit
 (** Release the write side (store UNLOCKED). *)
@@ -116,8 +144,11 @@ val announce_priority : t -> ctx -> int -> unit
     which announce the reserved priority 1). *)
 
 val clear_announcement : t -> ctx -> unit
-(** Commit-time epilogue: forget the timestamp and clear the announcement
-    slot (lines 31–32), releasing any transaction waiting on it. *)
+(** Commit-time epilogue: forget the timestamp and conflictor and clear the
+    announcement slot (lines 31–32), releasing any transaction waiting on
+    it.  The slot is left alone when the ctx holds no timestamp: it is
+    then already 0, and not storing spares the cache line other threads'
+    slots share. *)
 
 val wait_for_conflictor : t -> ctx -> unit
 (** Before re-attempting a restarted transaction, wait until the

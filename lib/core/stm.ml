@@ -15,8 +15,7 @@ type 'a tvar = { id : int; mutable v : 'a; mutable stamp : int }
 type wentry = W : { tv : 'a tvar; old : 'a } -> wentry
 
 type tx = {
-  ctx : Rwl_sf.ctx;
-  rset : int Util.Vec.t; (* read-locked lock indices *)
+  ctx : Rwl_sf.ctx; (* also holds the read set *)
   wset : int Util.Vec.t; (* write-locked lock indices *)
   undo : wentry Util.Vec.t;
   mutable stamp : int; (* unique per attempt: serial * max_threads + tid *)
@@ -69,7 +68,6 @@ let tx_key =
       let tid = Util.Tid.get () in
       {
         ctx = Rwl_sf.make_ctx ~tid;
-        rset = Util.Vec.create ~dummy:(-1) ();
         wset = Util.Vec.create ~dummy:(-1) ();
         undo = Util.Vec.create ~dummy:dummy_wentry ();
         stamp = tid;
@@ -93,10 +91,7 @@ let read tx tv =
   let t = Util.Once.get table in
   let w = Rwl_sf.lock_index t tv.id in
   if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then tv.v
-  else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then begin
-    Util.Vec.push tx.rset w;
-    tv.v
-  end
+  else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then tv.v
   else begin
     tx.abort_reason <-
       (if tx.ctx.deadline_hit then Obs.Events.Deadline
@@ -127,7 +122,6 @@ let write tx tv nv =
 (* ---- transaction lifecycle ---- *)
 
 let begin_attempt tx =
-  Util.Vec.clear tx.rset;
   Util.Vec.clear tx.wset;
   Util.Vec.clear tx.undo;
   tx.serial <- tx.serial + 1;
@@ -137,7 +131,7 @@ let begin_attempt tx =
 
 let release_locks t tx =
   Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wset;
-  Util.Vec.iter (fun w -> Rwl_sf.read_unlock t tx.ctx w) tx.rset
+  Rwl_sf.read_unlock_all t tx.ctx
 
 (* Bucket 0 is derived as commits - sum(others) at read time so the common
    no-restart commit path touches no shared counter. *)

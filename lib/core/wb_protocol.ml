@@ -35,8 +35,7 @@ struct
   type rentry = R : { tv : 'a tvar; mutable nv : 'a } -> rentry
 
   type tx = {
-    ctx : Rwl_sf.ctx;
-    rset : int Util.Vec.t;
+    ctx : Rwl_sf.ctx; (* also holds the read set *)
     wset : int Util.Vec.t;
     redo : rentry Util.Vec.t;
     mutable bloom : int;
@@ -73,7 +72,6 @@ struct
         let tid = Util.Tid.get () in
         {
           ctx = Rwl_sf.make_ctx ~tid;
-          rset = Util.Vec.create ~dummy:(-1) ();
           wset = Util.Vec.create ~dummy:(-1) ();
           redo = Util.Vec.create ~dummy:dummy_rentry ();
           bloom = 0;
@@ -129,10 +127,7 @@ struct
         let w = Rwl_sf.lock_index t tv.id in
         if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then
           tv.v
-        else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then begin
-          Util.Vec.push tx.rset w;
-          tv.v
-        end
+        else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then tv.v
         else begin
           tx.abort_reason <-
             (if tx.ctx.deadline_hit then Obs.Events.Deadline
@@ -162,10 +157,9 @@ struct
 
   let release_locks t tx =
     Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wset;
-    Util.Vec.iter (fun w -> Rwl_sf.read_unlock t tx.ctx w) tx.rset
+    Rwl_sf.read_unlock_all t tx.ctx
 
   let begin_attempt tx =
-    Util.Vec.clear tx.rset;
     Util.Vec.clear tx.wset;
     Util.Vec.clear tx.redo;
     tx.bloom <- 0;

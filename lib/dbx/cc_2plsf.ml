@@ -10,8 +10,7 @@ let name = "2PLSF"
 let obs = Obs.Scope.create "DBx-2PLSF"
 
 type per_thread = {
-  ctx : Rwl_sf.ctx;
-  rlocks : int Util.Vec.t;
+  ctx : Rwl_sf.ctx; (* also holds the read set *)
   wlocks : int Util.Vec.t;
   undo : (int * Bytes.t) Util.Vec.t; (* (rid, pre-image) *)
   mutable abort_reason : Obs.Events.abort_reason;
@@ -42,7 +41,6 @@ let create table =
       Array.init Util.Tid.max_threads (fun tid ->
           {
             ctx = Rwl_sf.make_ctx ~tid;
-            rlocks = Util.Vec.create ~dummy:(-1) ();
             wlocks = Util.Vec.create ~dummy:(-1) ();
             undo = Util.Vec.create ~dummy:(-1, Bytes.empty) ();
             abort_reason = Obs.Events.User_restart;
@@ -52,6 +50,7 @@ let create table =
     m_readonly_rejects = Atomic.make 0;
   }
 
+let leaked_locks t = Rwl_sf.leaked t.locks
 let set_wal t w = t.wal <- w
 let wal t = t.wal
 let degraded_reason t = Atomic.get t.degraded
@@ -66,7 +65,7 @@ let readonly_fail t reason =
 
 let release t p =
   Util.Vec.iter (fun w -> Rwl_sf.write_unlock t.locks p.ctx w) p.wlocks;
-  Util.Vec.iter (fun w -> Rwl_sf.read_unlock t.locks p.ctx w) p.rlocks
+  Rwl_sf.read_unlock_all t.locks p.ctx
 
 let rollback t p =
   Util.Vec.iter_rev
@@ -134,7 +133,6 @@ let commit_locked t p =
       Rwl_sf.clear_announcement t.locks p.ctx
 
 let attempt t p (txn : Ycsb.txn) =
-  Util.Vec.clear p.rlocks;
   Util.Vec.clear p.wlocks;
   Util.Vec.clear p.undo;
   let n = Array.length txn.keys in
@@ -148,11 +146,7 @@ let attempt t p (txn : Ycsb.txn) =
         if
           Rwl_sf.holds_read t.locks p.ctx w
           || Rwl_sf.holds_write t.locks p.ctx w
-          || (Rwl_sf.try_or_wait_read_lock t.locks p.ctx w
-             && begin
-                  Util.Vec.push p.rlocks w;
-                  true
-                end)
+          || Rwl_sf.try_or_wait_read_lock t.locks p.ctx w
         then ignore (Cc_intf.read_work (Table.payload t.table rid))
         else begin
           p.abort_reason <- Obs.Events.Read_lock_conflict;
@@ -231,7 +225,6 @@ let execute t ~tid txn =
    it identically and the row-balance sum is a recovery invariant. *)
 
 let attempt_transfer t p ~src_rid ~dst_rid ~amount =
-  Util.Vec.clear p.rlocks;
   Util.Vec.clear p.wlocks;
   Util.Vec.clear p.undo;
   let write rid =

@@ -5,6 +5,11 @@
 
 include Cc_intf.CC
 
+val leaked_locks : t -> int
+(** Post-run lock sweep ({!Twoplsf.Rwl_sf.leaked}): locks still held.
+    Zero once every transaction has committed or aborted; only meaningful
+    in quiescence. *)
+
 (** {2 Durability (DESIGN.md §15)} *)
 
 val set_wal : t -> Twoplsf_wal.Wal.t option -> unit

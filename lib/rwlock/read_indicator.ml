@@ -29,6 +29,37 @@ let depart t ~tid w =
   let cur = Atomic.get t.words.(idx) in
   Atomic.set t.words.(idx) (cur land lnot (bit w))
 
+(* Indices of the owner's words that may be non-zero.  An [int array]
+   rather than a [Util.Vec.t]: stores into it need no [caml_modify]. *)
+type read_set = { mutable idxs : int array; mutable n : int }
+
+let read_set () = { idxs = Array.make 16 0; n = 0 }
+
+let record rs idx =
+  if rs.n = Array.length rs.idxs then begin
+    let a = Array.make (2 * rs.n) 0 in
+    Array.blit rs.idxs 0 a 0 rs.n;
+    rs.idxs <- a
+  end;
+  rs.idxs.(rs.n) <- idx;
+  rs.n <- rs.n + 1
+
+(* The word is recorded before the bit is set, so an exception escaping
+   in between cannot leave a set bit that [depart_all] misses. *)
+let arrive_into t rs ~tid w =
+  let idx = word_index t tid w in
+  let cur = Atomic.get t.words.(idx) in
+  if cur = 0 then record rs idx;
+  Atomic.set t.words.(idx) (cur lor bit w)
+
+(* A word recorded twice (re-armed after a depart zeroed it) is cleared
+   twice, which is harmless. *)
+let depart_all t rs =
+  for i = 0 to rs.n - 1 do
+    Atomic.set t.words.(rs.idxs.(i)) 0
+  done;
+  rs.n <- 0
+
 let holds t ~tid w = Atomic.get t.words.(word_index t tid w) land bit w <> 0
 
 let is_empty t ~self w =

@@ -5,8 +5,13 @@
     word [w / B] in thread [t]'s region says "thread [t] holds (or is
     waiting for, in the writer-arrives-as-reader case) the read side of
     lock [w]".  Because a word is only ever written by its owning thread,
-    {!arrive} and {!depart} are a plain atomic load + store — no
-    read-modify-write, which is the key to read scalability (§2.4).
+    {!arrive} and {!depart} are an atomic load + store — no compare-and-swap
+    or fetch-and-add — which is the key to read scalability (§2.4).  On
+    OCaml 5.1 the store ([Atomic.set]) is still an out-of-line
+    [caml_atomic_exchange] call (a locked [xchg] plus a write barrier), so
+    each store costs tens of nanoseconds even uncontended; {!depart_all}
+    lets an owner that remembers its non-zero words release every lock in
+    a word with one store.
 
     Divergence from the paper: the paper packs 64 locks per word; OCaml
     ints are 63-bit so we pack {!bits_per_word} = 32 locks per word.  The
@@ -28,6 +33,24 @@ val arrive : t -> tid:int -> int -> unit
 
 val depart : t -> tid:int -> int -> unit
 (** Clear the calling thread's bit for lock [w].  Idempotent. *)
+
+type read_set
+(** An owner's record of its words that may be non-zero, so that it can
+    depart every lock it holds with one store per word ({!depart_all})
+    instead of one per lock.  Belongs to one thread and one indicator. *)
+
+val read_set : unit -> read_set
+(** An empty read set. *)
+
+val arrive_into : t -> read_set -> tid:int -> int -> unit
+(** {!arrive}, after recording [tid]'s word for lock [w] in the read set
+    when that word is zero.  The owner of the read set must make every
+    arrival of [tid] on [t] through it, except arrivals it departs again
+    itself (with {!depart}) before calling {!depart_all}. *)
+
+val depart_all : t -> read_set -> unit
+(** Store 0 into every word recorded in the read set and empty it:
+    departs every lock whose bit those words hold. *)
 
 val holds : t -> tid:int -> int -> bool
 (** Is [tid]'s bit for lock [w] set?  (Cheap: one load.) *)

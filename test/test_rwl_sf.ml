@@ -303,6 +303,105 @@ let test_take_timestamp_monotone () =
   L.take_timestamp t a;
   check Alcotest.int "idempotent" before a.my_ts
 
+(* ---- word-granular read release ---- *)
+
+type op = Read of int | Write of int | Unlock of int
+
+let print_op = function
+  | Read w -> Printf.sprintf "R%d" w
+  | Write w -> Printf.sprintf "W%d" w
+  | Unlock w -> Printf.sprintf "U%d" w
+
+(* 32 locks over four indicator words: draws often share a word and often
+   repeat a lock. *)
+let gen_lock =
+  QCheck.Gen.(map2 (fun word bit -> (word * 32) + bit) (int_bound 3) (int_bound 7))
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun w -> Read w) gen_lock);
+        (2, map (fun w -> Write w) gen_lock);
+        (1, map (fun w -> Unlock w) gen_lock);
+      ])
+
+let qcheck_read_unlock_all =
+  (* Ctx A (tid 0) runs a random mix of read acquires, write acquires
+     (upgrades included) and early per-lock read_unlocks while ctx B
+     (tid 1) holds read locks on some of the same locks.  B announces the
+     top priority, so A's writes on B's locks fail instead of waiting.
+     Writes must succeed exactly on the locks B does not hold, and a
+     model of A's read bits must match [holds_read] before release;
+     after A's [read_unlock_all] A holds nothing and B still holds its
+     locks; after B's, the table is clean. *)
+  QCheck.Test.make ~name:"read_unlock_all releases exactly A's locks"
+    ~count:300
+    QCheck.(
+      pair
+        (make
+           ~print:(Print.list string_of_int)
+           Gen.(list_size (int_bound 6) gen_lock))
+        (make
+           ~print:(Print.list print_op)
+           Gen.(list_size (int_range 1 40) gen_op)))
+    (fun (b_locks, ops) ->
+      let t = L.create ~num_locks:128 () in
+      let a = L.make_ctx ~tid:0 and b = L.make_ctx ~tid:1 in
+      List.iter (fun w -> assert (L.try_or_wait_read_lock t b w)) b_locks;
+      L.announce_priority t b 1;
+      let model = Hashtbl.create 16 in
+      let writes_ok = ref true in
+      List.iter
+        (function
+          | Read w ->
+              if L.try_or_wait_read_lock t a w then Hashtbl.replace model w ()
+          | Write w ->
+              (* Re-entrant and fast-path writes (no other reader) leave
+                 A's read bit alone; a write on one of B's locks takes the
+                 slow path, loses to B's priority and departs A's bit. *)
+              if not (L.holds_write t a w) then begin
+                let contended = List.mem w b_locks in
+                if L.try_or_wait_write_lock t a w = contended then
+                  writes_ok := false;
+                if contended then Hashtbl.remove model w
+              end
+          | Unlock w ->
+              L.read_unlock t a w;
+              Hashtbl.remove model w)
+        ops;
+      let all = List.init 128 Fun.id in
+      let model_ok =
+        List.for_all (fun w -> L.holds_read t a w = Hashtbl.mem model w) all
+      in
+      List.iter (fun w -> if L.holds_write t a w then L.write_unlock t a w) all;
+      L.read_unlock_all t a;
+      let a_clear =
+        List.for_all
+          (fun w -> not (L.holds_read t a w || L.holds_write t a w))
+          all
+      in
+      let b_kept = List.for_all (fun w -> L.holds_read t b w) b_locks in
+      L.read_unlock_all t b;
+      L.clear_announcement t a;
+      L.clear_announcement t b;
+      !writes_ok && model_ok && a_clear && b_kept && L.leaked t = 0)
+
+let test_read_unlock_all_idempotent () =
+  let t = fresh () in
+  let c = L.make_ctx ~tid:0 in
+  List.iter (fun w -> ignore (L.try_or_wait_read_lock t c w)) [ 1; 2; 33 ];
+  L.read_unlock t c 33;
+  (* lock 33's word is recorded but zero; re-arming records it again *)
+  ignore (L.try_or_wait_read_lock t c 34);
+  L.read_unlock_all t c;
+  check Alcotest.int "nothing held" 0 (L.leaked t);
+  L.read_unlock_all t c;
+  check Alcotest.int "second call is a no-op" 0 (L.leaked t);
+  check Alcotest.bool "lock usable again" true (L.try_or_wait_read_lock t c 2);
+  L.read_unlock_all t c;
+  check Alcotest.bool "released" false (L.holds_read t c 2)
+
 let () =
   Alcotest.run "rwl_sf"
     [
@@ -341,6 +440,12 @@ let () =
             test_wait_for_conflictor_returns_when_cleared;
           Alcotest.test_case "wait_for_conflictor blocks" `Quick
             test_wait_for_conflictor_blocks_until_commit;
+        ] );
+      ( "read set",
+        [
+          QCheck_alcotest.to_alcotest qcheck_read_unlock_all;
+          Alcotest.test_case "read_unlock_all idempotent" `Quick
+            test_read_unlock_all_idempotent;
         ] );
       ( "announcements",
         [
