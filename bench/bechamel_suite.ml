@@ -3,7 +3,9 @@
    2PLSF (and the figure's main optimistic contender where relevant).
    These complement the multi-thread series printed by Figures.* — they
    answer "what does one operation cost?" while the series answer "how
-   does it scale?". *)
+   does it scale?".  The [rwl_sf/] and [stm/] rows price the rungs below
+   a structure operation: one read-lock acquire, one transactional
+   read. *)
 
 open Bechamel
 
@@ -17,6 +19,7 @@ module Hash_p = Structures.Hash_map.Make (Twoplsf.Stm) (V)
 module Skip_p = Structures.Skiplist.Make (Twoplsf.Stm) (V)
 module Zip_p = Structures.Ziptree.Make (Twoplsf.Stm) (V)
 module Ravl_tl2 = Structures.Ravl.Make (Baselines.Tl2) (V)
+module List_tl2 = Structures.Linked_list.Make (Baselines.Tl2) (V)
 
 let prefill put n =
   for k = 0 to n - 1 do
@@ -29,6 +32,10 @@ let next_key range =
   counter := (!counter + 7919) land max_int;
   !counter mod range
 
+(* Rows whose staged function repeats the priced operation this many
+   times; they print ns per repetition. *)
+let repeats = [ ("per-op/stm/read per access, 64 tvars (2PLSF)", 64) ]
+
 let tests () =
   ignore (Util.Tid.register ());
   let range = 4096 in
@@ -36,6 +43,8 @@ let tests () =
   prefill (Ravl_p.put ravl) range;
   let ll = List_p.create () in
   prefill (List_p.put ll) 512;
+  let ll_tl2 = List_tl2.create () in
+  prefill (List_tl2.put ll_tl2) 512;
   let hm = Hash_p.create ~buckets:1024 () in
   prefill (Hash_p.put hm) range;
   let sk = Skip_p.create () in
@@ -49,7 +58,26 @@ let tests () =
   let tid = Util.Tid.get () in
   let gen = Dbx.Ycsb.make_gen ~num_keys:10_000 ~theta:0.6 ~write_ratio:0.5 () in
   let counters = Array.init 20 (fun _ -> Twoplsf.Stm.tvar 0) in
+  (* One table per rung: releasing the fresh lock's word must not
+     release the held one. *)
+  let held_locks = Twoplsf.Rwl_sf.create ~num_locks:1024 () in
+  let held_ctx = Twoplsf.Rwl_sf.make_ctx ~tid in
+  ignore (Twoplsf.Rwl_sf.try_or_wait_read_lock held_locks held_ctx 7);
+  let fresh_locks = Twoplsf.Rwl_sf.create ~num_locks:1024 () in
+  let fresh_ctx = Twoplsf.Rwl_sf.make_ctx ~tid in
+  let tvs = Array.init 64 (fun i -> Twoplsf.Stm.tvar i) in
   [
+    Test.make ~name:"rwl_sf/read acquire held lock"
+      (Staged.stage (fun () ->
+           ignore (Twoplsf.Rwl_sf.try_or_wait_read_lock held_locks held_ctx 7)));
+    Test.make ~name:"rwl_sf/read acquire fresh lock + read_unlock_all"
+      (Staged.stage (fun () ->
+           ignore (Twoplsf.Rwl_sf.try_or_wait_read_lock fresh_locks fresh_ctx 7);
+           Twoplsf.Rwl_sf.read_unlock_all fresh_locks fresh_ctx));
+    Test.make ~name:"stm/read per access, 64 tvars (2PLSF)"
+      (Staged.stage (fun () ->
+           Twoplsf.Stm.atomic (fun tx ->
+               Array.iter (fun tv -> ignore (Twoplsf.Stm.read tx tv)) tvs)));
     Test.make ~name:"fig2/ravl insert+remove (2PLSF)"
       (Staged.stage (fun () ->
            let k = next_key range in
@@ -57,6 +85,8 @@ let tests () =
            ignore (Ravl_p.remove ravl k)));
     Test.make ~name:"fig3/list lookup (2PLSF)"
       (Staged.stage (fun () -> ignore (List_p.get ll (next_key 512))));
+    Test.make ~name:"fig3/list lookup (TL2)"
+      (Staged.stage (fun () -> ignore (List_tl2.get ll_tl2 (next_key 512))));
     Test.make ~name:"fig4/hash insert+remove (2PLSF)"
       (Staged.stage (fun () ->
            let k = next_key range in
@@ -103,6 +133,8 @@ let run () =
   List.iter
     (fun (name, v) ->
       match Analyze.OLS.estimates v with
-      | Some (ns :: _) -> Printf.printf "%-46s %12.0f ns/op\n%!" name ns
-      | Some [] | None -> Printf.printf "%-46s %12s\n%!" name "n/a")
+      | Some (ns :: _) ->
+          let n = Option.value ~default:1 (List.assoc_opt name repeats) in
+          Printf.printf "%-56s %12.1f ns/op\n%!" name (ns /. float n)
+      | Some [] | None -> Printf.printf "%-56s %12s\n%!" name "n/a")
     (List.sort compare rows)

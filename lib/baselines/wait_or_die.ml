@@ -15,6 +15,7 @@ type 'a tvar = 'a Tvar.t
 let tvar = Tvar.make
 
 type tx = {
+  tbl : Rwl_sf.t; (* the lock table, resolved once per thread *)
   ctx : Rwl_sf.ctx; (* also holds the read set *)
   wlocks : int Util.Vec.t;
   undo : Wset.t;
@@ -47,6 +48,7 @@ let tx_key =
   Domain.DLS.new_key (fun () ->
       let tid = Util.Tid.get () in
       {
+        tbl = Util.Once.get table;
         ctx = Rwl_sf.make_ctx ~tid;
         wlocks = Util.Vec.create ~dummy:(-1) ();
         undo = Wset.create ();
@@ -61,10 +63,9 @@ let tx_key =
 let get_tx () = Domain.DLS.get tx_key
 
 let read tx (tv : 'a tvar) : 'a =
-  let t = Util.Once.get table in
-  let w = Rwl_sf.lock_index t tv.id in
-  if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then tv.v
-  else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then tv.v
+  let t = tx.tbl in
+  if Rwl_sf.try_or_wait_read_lock t tx.ctx (Rwl_sf.lock_index t tv.id) then
+    tv.v
   else begin
     tx.abort_reason <-
       (if tx.ctx.Rwl_sf.deadline_hit then Obs.Events.Deadline
@@ -73,7 +74,7 @@ let read tx (tv : 'a tvar) : 'a =
   end
 
 let write tx tv nv =
-  let t = Util.Once.get table in
+  let t = tx.tbl in
   let w = Rwl_sf.lock_index t tv.id in
   let held = Rwl_sf.holds_write t tx.ctx w in
   if held || Rwl_sf.try_or_wait_write_lock t tx.ctx w then begin
@@ -90,9 +91,8 @@ let write tx tv nv =
   end
 
 let release tx =
-  let t = Util.Once.get table in
-  Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wlocks;
-  Rwl_sf.read_unlock_all t tx.ctx
+  Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.tbl tx.ctx w) tx.wlocks;
+  Rwl_sf.read_unlock_all tx.tbl tx.ctx
 
 let rollback tx =
   Wset.rollback tx.undo;
@@ -137,7 +137,7 @@ let run tx f =
   tx.restarts <- 0;
   tx.ctx.Rwl_sf.deadline_ns <- Cm.begin_txn tx.ov;
   tx.ctx.Rwl_sf.deadline_hit <- false;
-  let t = Util.Once.get table in
+  let t = tx.tbl in
   let telemetry = !Obs.Telemetry.on in
   let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
   let rec attempt att_t0 =

@@ -13,7 +13,10 @@
      path removes that window; rollback always happens before release.
    - getTSOfWLock/getLowestTS initialize their fold with +infinity rather
      than NO_TIMESTAMP = 0 (with 0 the pseudocode's [oTS < lowestTS] can
-     never fire). *)
+     never fire).
+   - [try_or_wait_read_lock] is re-entrant too: a bit already set returns
+     true before the write word is looked at, so a reader whose lock a
+     waiting writer has taken does not restart on its own re-read. *)
 
 module Read_indicator = Rwlock.Read_indicator
 module Obs = Twoplsf_obs
@@ -201,73 +204,94 @@ let spurious_fail ctx =
   ctx.preempted <- false;
   false
 
-let try_or_wait_read_lock t ctx w =
-  if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then spurious_fail ctx
+let holds_read t ctx w = Read_indicator.holds t.ri ~tid:ctx.tid w
+let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
+
+(* The read wait loop (Algorithm 2, lines 56-68): this thread's bit for
+   [w] is set and a foreign writer holds [w]. *)
+let read_lock_wait t ctx w =
+  let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
+  take_timestamp t ctx;
+  let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
+  if watch then
+    Obs.Wait_registry.publish ~tid:ctx.tid ~kind:Obs.Wait_registry.read_wait
+      ~table:t.watch_id ~lock:w ~since_ns:(Obs.Telemetry.now_ns ())
+      ~observed:(-1);
+  let b = Util.Backoff.create () in
+  let spins = ref 0 in
+  let finish acquired =
+    if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
+    (if !Obs.Telemetry.on then
+       match t.obs with
+       | Some sc ->
+           Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write:false
+             ~t0_ns:t0 ~spins:!spins ~acquired
+       | None -> ());
+    acquired
+  in
+  let rec loop () =
+    if Atomic.get t.wlocks.(w) = 0 then finish true
+    else begin
+      let ots = ts_of_wlock t ctx w in
+      if watch && ctx.o_tid >= 0 then
+        Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
+      if ots < my_effective_ts ctx then begin
+        (* A higher-priority writer owns the lock: restart. *)
+        Read_indicator.depart t.ri ~tid:ctx.tid w;
+        ctx.preempted <- false;
+        finish false
+      end
+      else if deadline_blown ctx then begin
+        Read_indicator.depart t.ri ~tid:ctx.tid w;
+        ctx.preempted <- false;
+        ctx.deadline_hit <- true;
+        (* Provenance: pin the deadline abort on the lock we starved on
+           (the conflictor, if any, was recorded by ts_of_wlock). *)
+        ctx.o_lock <- w;
+        finish false
+      end
+      else begin
+        incr spins;
+        if !Chaos.on then Chaos.point Chaos.Read_lock_wait;
+        Util.Backoff.once b;
+        loop ()
+      end
+    end
+  in
+  loop ()
+
+(* The read acquire when chaos or telemetry is on.  It keeps the order
+   the fast path folds away: probe for a held lock first, so a re-read
+   visits no sync point and records no event; then arrive and check,
+   with the sync points between them. *)
+let read_lock_observed t ctx w =
+  if holds_read t ctx w || holds_write t ctx w then true
+  else if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then
+    spurious_fail ctx
   else begin
-  if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
-  Read_indicator.arrive_into t.ri ctx.rs ~tid:ctx.tid w;
-  if !Chaos.on then Chaos.point Chaos.Read_lock_check;
-  let ws = Atomic.get t.wlocks.(w) in
-  if ws = 0 || ws = ctx.tid + 1 then begin
-    if !Obs.Telemetry.on then begin
-      match t.obs with
-      | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Read_lock_fast
-      | None -> ()
-    end;
-    true
-  end
-  else begin
-    let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
-    take_timestamp t ctx;
-    let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
-    if watch then
-      Obs.Wait_registry.publish ~tid:ctx.tid ~kind:Obs.Wait_registry.read_wait
-        ~table:t.watch_id ~lock:w ~since_ns:(Obs.Telemetry.now_ns ())
-        ~observed:(-1);
-    let b = Util.Backoff.create () in
-    let spins = ref 0 in
-    let finish acquired =
-      if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
+    if !Chaos.on then Chaos.point Chaos.Read_lock_arrive;
+    ignore (Read_indicator.arrive_into t.ri ctx.rs ~tid:ctx.tid w);
+    if !Chaos.on then Chaos.point Chaos.Read_lock_check;
+    let ws = Atomic.get t.wlocks.(w) in
+    if ws = 0 || ws = ctx.tid + 1 then begin
       (if !Obs.Telemetry.on then
          match t.obs with
-         | Some sc ->
-             Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write:false
-               ~t0_ns:t0 ~spins:!spins ~acquired
+         | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Read_lock_fast
          | None -> ());
-      acquired
-    in
-    let rec loop () =
-      if Atomic.get t.wlocks.(w) = 0 then finish true
-      else begin
-        let ots = ts_of_wlock t ctx w in
-        if watch && ctx.o_tid >= 0 then
-          Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
-        if ots < my_effective_ts ctx then begin
-          (* A higher-priority writer owns the lock: restart. *)
-          Read_indicator.depart t.ri ~tid:ctx.tid w;
-          ctx.preempted <- false;
-          finish false
-        end
-        else if deadline_blown ctx then begin
-          Read_indicator.depart t.ri ~tid:ctx.tid w;
-          ctx.preempted <- false;
-          ctx.deadline_hit <- true;
-          (* Provenance: pin the deadline abort on the lock we starved on
-             (the conflictor, if any, was recorded by ts_of_wlock). *)
-          ctx.o_lock <- w;
-          finish false
-        end
-        else begin
-          incr spins;
-          if !Chaos.on then Chaos.point Chaos.Read_lock_wait;
-          Util.Backoff.once b;
-          loop ()
-        end
-      end
-    in
-    loop ()
+      true
+    end
+    else read_lock_wait t ctx w
   end
-  end
+
+(* One load of the owner word decides "already held" and feeds the
+   arrive; the write word is loaded only after a fresh arrive. *)
+let try_or_wait_read_lock t ctx w =
+  if !Chaos.on || !Obs.Telemetry.on then read_lock_observed t ctx w
+  else
+    Read_indicator.arrive_into t.ri ctx.rs ~tid:ctx.tid w
+    ||
+    let ws = Atomic.get t.wlocks.(w) in
+    ws = 0 || ws = ctx.tid + 1 || read_lock_wait t ctx w
 
 let try_or_wait_write_lock t ctx w =
   let me = ctx.tid + 1 in
@@ -364,9 +388,6 @@ let read_unlock_all t ctx = Read_indicator.depart_all t.ri ctx.rs
 let write_unlock t ctx w =
   ignore ctx;
   Atomic.set t.wlocks.(w) 0
-
-let holds_read t ctx w = Read_indicator.holds t.ri ~tid:ctx.tid w
-let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
 
 let wait_for_conflictor t ctx =
   let otid = ctx.o_tid and ots = ctx.o_ts in

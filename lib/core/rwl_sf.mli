@@ -96,7 +96,20 @@ val lock_index : t -> int -> int
 val try_or_wait_read_lock : t -> ctx -> int -> bool
 (** Acquire the read side of lock [w] (Algorithm 2, lines 51–69).  [false]
     means: a lower-timestamp writer owns the lock; the caller must restart
-    ([ctx.o_tid]/[ctx.o_ts] identify whom to wait for before retrying). *)
+    ([ctx.o_tid]/[ctx.o_ts] identify whom to wait for before retrying).
+
+    Re-entrant: if the ctx already holds [w] for reading or writing, the
+    result is [true] with no store, no sync point, no telemetry event and
+    no wait, whoever holds or awaits the write word.  Callers therefore
+    call it directly on every read, with no {!holds_read}/{!holds_write}
+    probe first.  A ctx that holds [w] only for writing may have its read
+    bit set by the call; {!read_unlock_all} releases it.
+
+    With chaos and telemetry off, one load of the ctx's indicator word
+    decides "already held" and feeds the arrive, and the write word is
+    loaded only after a fresh arrive.  With either on, the call probes
+    for a held lock first and keeps the chaos sync points and the
+    [Read_lock_fast] event of the original order. *)
 
 val try_or_wait_write_lock : t -> ctx -> int -> bool
 (** Acquire the write side of lock [w] (lines 76–106), upgrading a read
@@ -133,6 +146,8 @@ val write_unlock : t -> ctx -> int -> unit
 
 val holds_read : t -> ctx -> int -> bool
 val holds_write : t -> ctx -> int -> bool
+(** Whether the ctx holds [w] for reading / writing.  One load each; for
+    tests and the write path ({!try_or_wait_read_lock} needs no probe). *)
 
 val take_timestamp : t -> ctx -> unit
 (** Draw a timestamp from the conflict clock and announce it, if the

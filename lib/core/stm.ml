@@ -15,6 +15,7 @@ type 'a tvar = { id : int; mutable v : 'a; mutable stamp : int }
 type wentry = W : { tv : 'a tvar; old : 'a } -> wentry
 
 type tx = {
+  tbl : Rwl_sf.t; (* the lock table, resolved once per thread *)
   ctx : Rwl_sf.ctx; (* also holds the read set *)
   wset : int Util.Vec.t; (* write-locked lock indices *)
   undo : wentry Util.Vec.t;
@@ -67,6 +68,7 @@ let tx_key =
   Domain.DLS.new_key (fun () ->
       let tid = Util.Tid.get () in
       {
+        tbl = Util.Once.get table;
         ctx = Rwl_sf.make_ctx ~tid;
         wset = Util.Vec.create ~dummy:(-1) ();
         undo = Util.Vec.create ~dummy:dummy_wentry ();
@@ -88,10 +90,9 @@ let get_tx () = Domain.DLS.get tx_key
 let tvar v = { id = Util.Id_gen.next (); v; stamp = -1 }
 
 let read tx tv =
-  let t = Util.Once.get table in
-  let w = Rwl_sf.lock_index t tv.id in
-  if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then tv.v
-  else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then tv.v
+  let t = tx.tbl in
+  if Rwl_sf.try_or_wait_read_lock t tx.ctx (Rwl_sf.lock_index t tv.id) then
+    tv.v
   else begin
     tx.abort_reason <-
       (if tx.ctx.deadline_hit then Obs.Events.Deadline
@@ -100,7 +101,7 @@ let read tx tv =
   end
 
 let write tx tv nv =
-  let t = Util.Once.get table in
+  let t = tx.tbl in
   let w = Rwl_sf.lock_index t tv.id in
   let held = Rwl_sf.holds_write t tx.ctx w in
   if held || Rwl_sf.try_or_wait_write_lock t tx.ctx w then begin
@@ -129,9 +130,9 @@ let begin_attempt tx =
   tx.ctx.deadline_hit <- false;
   tx.abort_reason <- Obs.Events.User_restart
 
-let release_locks t tx =
-  Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wset;
-  Rwl_sf.read_unlock_all t tx.ctx
+let release_locks tx =
+  Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.tbl tx.ctx w) tx.wset;
+  Rwl_sf.read_unlock_all tx.tbl tx.ctx
 
 (* Bucket 0 is derived as commits - sum(others) at read time so the common
    no-restart commit path touches no shared counter. *)
@@ -142,21 +143,19 @@ let record_restart_count n =
   end
 
 let commit tx =
-  let t = Util.Once.get table in
-  release_locks t tx;
-  Rwl_sf.clear_announcement t tx.ctx;
+  release_locks tx;
+  Rwl_sf.clear_announcement tx.tbl tx.ctx;
   Stm_stats.commit stats ~tid:tx.ctx.tid;
   tx.finished_restarts <- tx.restarts;
   record_restart_count tx.restarts
 
 let rollback tx =
-  let t = Util.Once.get table in
   (* Undo newest-first *before* releasing any write lock. *)
   Util.Vec.iter_rev (fun (W { tv; old }) -> tv.v <- old) tx.undo;
   (* Chaos: delay-only site — an exception here would corrupt the
      rollback; [Chaos.point] never raises by contract. *)
   if !Chaos.on then Chaos.point Chaos.Mid_rollback;
-  release_locks t tx
+  release_locks tx
 
 let irrevocable_priority = 1
 
@@ -175,7 +174,7 @@ let run tx f =
   (* Irrevocable transactions (§2.8) are exempt from overload protection:
      they hold the zero mutex and must commit. *)
   tx.ctx.deadline_ns <- (if tx.irrevocable then 0 else Cm.begin_txn tx.ov);
-  let t = Util.Once.get table in
+  let t = tx.tbl in
   let telemetry = !Obs.Telemetry.on in
   let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
   let rec attempt att_t0 =
@@ -275,7 +274,7 @@ let atomic ?read_only f =
 let atomic_irrevocable_ro f =
   let tx = get_tx () in
   if tx.depth > 0 then invalid_arg "atomic_irrevocable_ro: already in a transaction";
-  let t = Util.Once.get table in
+  let t = tx.tbl in
   Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
   tx.irrevocable <- true;
   if !Obs.Telemetry.on then
@@ -292,7 +291,7 @@ let atomic_irrevocable_ro f =
 let atomic_irrevocable f =
   let tx = get_tx () in
   if tx.depth > 0 then invalid_arg "atomic_irrevocable: already in a transaction";
-  let t = Util.Once.get table in
+  let t = tx.tbl in
   Rwl_sf.zero_mutex_lock t;
   Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
   tx.irrevocable <- true;

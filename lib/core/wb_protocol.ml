@@ -35,6 +35,7 @@ struct
   type rentry = R : { tv : 'a tvar; mutable nv : 'a } -> rentry
 
   type tx = {
+    tbl : Rwl_sf.t; (* the lock table, resolved once per thread *)
     ctx : Rwl_sf.ctx; (* also holds the read set *)
     wset : int Util.Vec.t;
     redo : rentry Util.Vec.t;
@@ -71,6 +72,7 @@ struct
     Domain.DLS.new_key (fun () ->
         let tid = Util.Tid.get () in
         {
+          tbl = Util.Once.get table;
           ctx = Rwl_sf.make_ctx ~tid;
           wset = Util.Vec.create ~dummy:(-1) ();
           redo = Util.Vec.create ~dummy:dummy_rentry ();
@@ -123,11 +125,9 @@ struct
     match redo_find tx tv with
     | Some v -> v
     | None ->
-        let t = Util.Once.get table in
-        let w = Rwl_sf.lock_index t tv.id in
-        if Rwl_sf.holds_read t tx.ctx w || Rwl_sf.holds_write t tx.ctx w then
-          tv.v
-        else if Rwl_sf.try_or_wait_read_lock t tx.ctx w then tv.v
+        let t = tx.tbl in
+        if Rwl_sf.try_or_wait_read_lock t tx.ctx (Rwl_sf.lock_index t tv.id)
+        then tv.v
         else begin
           tx.abort_reason <-
             (if tx.ctx.deadline_hit then Obs.Events.Deadline
@@ -136,7 +136,7 @@ struct
         end
 
   let acquire_write_lock tx tv =
-    let t = Util.Once.get table in
+    let t = tx.tbl in
     let w = Rwl_sf.lock_index t tv.id in
     let held = Rwl_sf.holds_write t tx.ctx w in
     if held || Rwl_sf.try_or_wait_write_lock t tx.ctx w then begin
@@ -155,9 +155,9 @@ struct
     if P.eager && not (acquire_write_lock tx tv) then raise Restart;
     redo_put tx tv nv
 
-  let release_locks t tx =
-    Util.Vec.iter (fun w -> Rwl_sf.write_unlock t tx.ctx w) tx.wset;
-    Rwl_sf.read_unlock_all t tx.ctx
+  let release_locks tx =
+    Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.tbl tx.ctx w) tx.wset;
+    Rwl_sf.read_unlock_all tx.tbl tx.ctx
 
   let begin_attempt tx =
     Util.Vec.clear tx.wset;
@@ -167,7 +167,6 @@ struct
     tx.abort_reason <- Obs.Events.User_restart
 
   let commit tx =
-    let t = Util.Once.get table in
     (* Deferred locking: the expanding phase ends here. *)
     if not P.eager then
       Util.Vec.iter
@@ -179,13 +178,13 @@ struct
     if !Chaos.on then Chaos.point Chaos.Mid_writeback;
     (* Install buffered writes while every lock is held. *)
     Util.Vec.iter (fun (R e) -> e.tv.v <- e.nv) tx.redo;
-    release_locks t tx;
-    Rwl_sf.clear_announcement t tx.ctx;
+    release_locks tx;
+    Rwl_sf.clear_announcement tx.tbl tx.ctx;
     Stm_intf.Stats.commit stats ~tid:tx.ctx.tid
 
-  let abort_cleanup t tx =
+  let abort_cleanup tx =
     (* No rollback needed: memory was never written.  Just drop locks. *)
-    release_locks t tx
+    release_locks tx
 
   let irrevocable_priority = 1
 
@@ -198,7 +197,7 @@ struct
   let run tx f =
     tx.restarts <- 0;
     tx.ctx.deadline_ns <- Cm.begin_txn tx.ov;
-    let t = Util.Once.get table in
+    let t = tx.tbl in
     let telemetry = !Obs.Telemetry.on in
     let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
     let commit_t0 = ref 0 in
@@ -224,7 +223,7 @@ struct
           v
       | exception Restart ->
           tx.depth <- 0;
-          abort_cleanup t tx;
+          abort_cleanup tx;
           Stm_intf.Stats.abort stats ~tid:tx.ctx.tid;
           if telemetry then begin
             let aborter, lock =
@@ -267,7 +266,7 @@ struct
           end
       | exception e ->
           tx.depth <- 0;
-          abort_cleanup t tx;
+          abort_cleanup tx;
           Rwl_sf.clear_announcement t tx.ctx;
           finish_escalation t tx;
           raise e

@@ -143,11 +143,7 @@ let attempt t p (txn : Ycsb.txn) =
     let w = Rwl_sf.lock_index t.locks rid in
     (match txn.ops.(!i) with
     | Ycsb.Read ->
-        if
-          Rwl_sf.holds_read t.locks p.ctx w
-          || Rwl_sf.holds_write t.locks p.ctx w
-          || Rwl_sf.try_or_wait_read_lock t.locks p.ctx w
-        then ignore (Cc_intf.read_work (Table.payload t.table rid))
+        if Rwl_sf.try_or_wait_read_lock t.locks p.ctx w then ignore (Cc_intf.read_work (Table.payload t.table rid))
         else begin
           p.abort_reason <- Obs.Events.Read_lock_conflict;
           ok := false

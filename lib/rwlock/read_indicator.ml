@@ -44,13 +44,20 @@ let record rs idx =
   rs.idxs.(rs.n) <- idx;
   rs.n <- rs.n + 1
 
-(* The word is recorded before the bit is set, so an exception escaping
-   in between cannot leave a set bit that [depart_all] misses. *)
+(* One load decides both "already held" and what to store.  The word is
+   recorded before the bit is set, so an exception escaping in between
+   cannot leave a set bit that [depart_all] misses. *)
 let arrive_into t rs ~tid w =
   let idx = word_index t tid w in
   let cur = Atomic.get t.words.(idx) in
-  if cur = 0 then record rs idx;
-  Atomic.set t.words.(idx) (cur lor bit w)
+  let b = bit w in
+  cur land b <> 0
+  ||
+  begin
+    if cur = 0 then record rs idx;
+    Atomic.set t.words.(idx) (cur lor b);
+    false
+  end
 
 (* A word recorded twice (re-armed after a depart zeroed it) is cleared
    twice, which is harmless. *)

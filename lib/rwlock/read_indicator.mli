@@ -34,19 +34,24 @@ val arrive : t -> tid:int -> int -> unit
 val depart : t -> tid:int -> int -> unit
 (** Clear the calling thread's bit for lock [w].  Idempotent. *)
 
-type read_set
+type read_set = private { mutable idxs : int array; mutable n : int }
 (** An owner's record of its words that may be non-zero, so that it can
     depart every lock it holds with one store per word ({!depart_all})
-    instead of one per lock.  Belongs to one thread and one indicator. *)
+    instead of one per lock: the first [n] entries of [idxs] (a word may
+    appear twice).  Belongs to one thread and one indicator; read-only
+    outside this module. *)
 
 val read_set : unit -> read_set
 (** An empty read set. *)
 
-val arrive_into : t -> read_set -> tid:int -> int -> unit
-(** {!arrive}, after recording [tid]'s word for lock [w] in the read set
-    when that word is zero.  The owner of the read set must make every
-    arrival of [tid] on [t] through it, except arrivals it departs again
-    itself (with {!depart}) before calling {!depart_all}. *)
+val arrive_into : t -> read_set -> tid:int -> int -> bool
+(** [true] if [tid]'s bit for lock [w] is already set, and then nothing
+    is stored or recorded.  Otherwise {!arrive}, after recording [tid]'s
+    word for lock [w] in the read set when that word is zero, and
+    [false].  One load of the word serves both cases.  The owner of the
+    read set must make every arrival of [tid] on [t] through it, except
+    arrivals it departs again itself (with {!depart}) before calling
+    {!depart_all}. *)
 
 val depart_all : t -> read_set -> unit
 (** Store 0 into every word recorded in the read set and empty it:

@@ -212,6 +212,91 @@ let test_exec_crash_containment () =
   | _ -> Alcotest.fail "run_timed crash not re-raised"
   | exception Boom -> ()
 
+(* ---- the read fast path leaves instrumentation untouched ---- *)
+
+(* With chaos or telemetry on, [Rwl_sf.try_or_wait_read_lock] takes its
+   observed path: probe for a held lock, then arrive and check with the
+   sync points and the [Read_lock_fast] event in between.  These tests
+   pin that the one-load fast path changed neither. *)
+
+module Obs = Twoplsf_obs
+
+let read_lock_fast_events () =
+  match Obs.Scope.find "2PLSF" with
+  | Some sc -> List.assoc "read-lock-fast" (Obs.Scope.event_counts sc)
+  | None -> Alcotest.fail "no 2PLSF scope"
+
+let test_one_fast_event_per_lock () =
+  let tv = Stm.tvar 3 in
+  Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
+      Obs.Telemetry.enable ();
+      let before = read_lock_fast_events () in
+      Stm.atomic (fun tx ->
+          for _ = 1 to 3 do
+            ignore (Stm.read tx tv)
+          done);
+      check Alcotest.int "one read-lock-fast event" 1
+        (read_lock_fast_events () - before))
+
+(* Site codes visited, oldest first, while [f] runs under a logging
+   scheduler hook. *)
+let sites_visited f =
+  let log = ref [] in
+  Chaos.hook := Some (fun s -> log := Chaos.site_code s :: !log);
+  Fun.protect
+    ~finally:(fun () -> Chaos.hook := None)
+    (fun () ->
+      f (fun () -> List.length !log);
+      List.rev !log)
+
+let test_reread_visits_no_site () =
+  with_clean_globals (fun () ->
+      let a = Stm.tvar 1 and b = Stm.tvar 2 in
+      Chaos.enable ~config:quiet_config ();
+      let sites =
+        sites_visited (fun visits ->
+            Stm.atomic (fun tx ->
+                ignore (Stm.read tx a);
+                Stm.write tx b 5;
+                let n = visits () in
+                ignore (Stm.read tx a);
+                ignore (Stm.read tx b);
+                check Alcotest.int "re-reads visit no sync point" n (visits ())))
+      in
+      check Alcotest.bool "fresh accesses visit sync points" true (sites <> []))
+
+(* The sequence a fixed-seed run visited before the fold; codes are
+   0 read-lock-arrive, 1 read-lock-check, 3 write-lock-acquire,
+   7 pre-commit, 8 mid-rollback. *)
+let fixed_seed_sites =
+  "0 0 1 0 0 1 3 3 7 0 8 0 0 1 0 0 1 3 3 8 0 0 1 0 0 1 3 3 7 0 \
+   8 0 0 1 0 0 1 3 3 7 0 8 0 8 0 0 1 0 0 1 3 3 8 0 8 0 0 1 0 0 \
+   1 3 8 0 0 1 0 0 1 3 3 7 0 0 1 0 0 1 3 3 8 0 0 1 0 8 0 8 0 0 \
+   1 0 0 1 3 3 7 0 0 1 0 8 0 0 1 0 8 0 0 1 0 0 1 3 3 7"
+
+let test_fixed_seed_sites () =
+  with_clean_globals (fun () ->
+      let accts = Array.init 4 (fun i -> Stm.tvar (10 * i)) in
+      Chaos.enable
+        ~config:{ quiet_config with Chaos.seed = 0x2B1F; spurious_ppm = 250_000 }
+        ();
+      let sites =
+        sites_visited (fun _ ->
+            for i = 0 to 5 do
+              let a = accts.(i mod 4) and b = accts.((i + 1) mod 4) in
+              Stm.atomic (fun tx ->
+                  let x = Stm.read tx a in
+                  let y = Stm.read tx b in
+                  ignore (Stm.read tx a);
+                  Stm.write tx a (x - 1);
+                  Stm.write tx b (y + 1);
+                  ignore (Stm.read tx b))
+            done)
+      in
+      let got = String.concat " " (List.map string_of_int sites) in
+      check Alcotest.string "same sites as before the fold" fixed_seed_sites got;
+      check Alcotest.int "zero leaked locks" 0 (Stm.leaked_locks ()))
+
 (* ---- typed Starved error at the restart bound ---- *)
 
 let test_starved () =
@@ -253,5 +338,14 @@ let () =
           Alcotest.test_case "exec crash containment" `Quick
             test_exec_crash_containment;
           Alcotest.test_case "typed Starved error" `Quick test_starved;
+        ] );
+      ( "instrumentation parity",
+        [
+          Alcotest.test_case "one read-lock-fast event per lock" `Quick
+            test_one_fast_event_per_lock;
+          Alcotest.test_case "re-read visits no sync point" `Quick
+            test_reread_visits_no_site;
+          Alcotest.test_case "fixed-seed site sequence" `Quick
+            test_fixed_seed_sites;
         ] );
     ]

@@ -34,12 +34,27 @@ let test_write_fast_path () =
   L.write_unlock t c 5;
   check Alcotest.bool "released" false (L.holds_write t c 5)
 
+(* Telemetry on sends reads down the observed path (probe, then
+   acquire); off, down the one-load fast path.  Re-entrancy must hold on
+   both. *)
+let on_both_paths name f =
+  [
+    Alcotest.test_case (name ^ " (fast path)") `Quick f;
+    Alcotest.test_case (name ^ " (observed path)") `Quick (fun () ->
+        Twoplsf_obs.Telemetry.enable ();
+        Fun.protect ~finally:Twoplsf_obs.Telemetry.disable f);
+  ]
+
 let test_read_reentrant () =
   let t = fresh () in
   let c = L.make_ctx ~tid:0 in
   ignore (L.try_or_wait_read_lock t c 5);
+  let recorded = c.rs.n in
   check Alcotest.bool "again" true (L.try_or_wait_read_lock t c 5);
-  L.read_unlock t c 5
+  check Alcotest.int "nothing new recorded" recorded c.rs.n;
+  check Alcotest.int "no timestamp taken" 0 c.my_ts;
+  L.read_unlock t c 5;
+  check Alcotest.bool "one release drops it" false (L.holds_read t c 5)
 
 let test_write_reentrant () =
   let t = fresh () in
@@ -66,6 +81,64 @@ let test_write_lock_while_holding_write () =
     (L.try_or_wait_read_lock t c 5);
   L.read_unlock t c 5;
   L.write_unlock t c 5
+
+let test_read_under_own_write_released_by_commit () =
+  let t = fresh () in
+  let c = L.make_ctx ~tid:0 in
+  ignore (L.try_or_wait_write_lock t c 5);
+  check Alcotest.bool "read under own write" true
+    (L.try_or_wait_read_lock t c 5);
+  check Alcotest.int "no timestamp taken" 0 c.my_ts;
+  L.write_unlock t c 5;
+  L.read_unlock_all t c;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
+
+(* A read-holds lock 5 while B has taken its write word and waits for
+   A's bit to drain.  A's re-read must neither wait for B nor take a
+   timestamp: a re-entrant acquire that checked the write word would
+   find B there, draw a timestamp younger than B's and restart. *)
+let test_reread_while_writer_drains () =
+  let t = fresh () in
+  let a = L.make_ctx ~tid:0 in
+  check Alcotest.bool "A reads" true (L.try_or_wait_read_lock t a 5);
+  let b_acquired = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        ignore (Util.Tid.register ());
+        let b = L.make_ctx ~tid:1 in
+        let ok = L.try_or_wait_write_lock t b 5 in
+        Atomic.set b_acquired ok;
+        if ok then L.write_unlock t b 5;
+        L.clear_announcement t b;
+        Util.Tid.release ();
+        ok)
+  in
+  (* B waits once it holds the write word and has arrived as a reader. *)
+  let give_up = Unix.gettimeofday () +. 10. in
+  let rec await_b () =
+    let v = L.inspect t 5 in
+    if not (v.writer = 1 && List.mem 1 v.readers) then
+      if Unix.gettimeofday () > give_up then
+        Alcotest.fail "B never started waiting"
+      else begin
+        Unix.sleepf 0.001;
+        await_b ()
+      end
+  in
+  (* Release A's locks even on failure, so that B never waits forever. *)
+  let reread, b_early =
+    Fun.protect
+      ~finally:(fun () -> L.read_unlock_all t a)
+      (fun () ->
+        await_b ();
+        let ok = L.try_or_wait_read_lock t a 5 in
+        (ok, Atomic.get b_acquired))
+  in
+  check Alcotest.bool "re-read returns true" true reread;
+  check Alcotest.int "no timestamp taken" 0 a.my_ts;
+  check Alcotest.bool "B still waiting at the re-read" false b_early;
+  check Alcotest.bool "B acquires after A's release" true (Domain.join d);
+  check Alcotest.int "nothing leaked" 0 (L.leaked t)
 
 let test_reader_restarts_on_lower_ts_writer () =
   let t = fresh () in
@@ -305,12 +378,14 @@ let test_take_timestamp_monotone () =
 
 (* ---- word-granular read release ---- *)
 
-type op = Read of int | Write of int | Unlock of int
+(* [Reread k] re-reads the k-th (mod count) lock A read-holds. *)
+type op = Read of int | Write of int | Unlock of int | Reread of int
 
 let print_op = function
   | Read w -> Printf.sprintf "R%d" w
   | Write w -> Printf.sprintf "W%d" w
   | Unlock w -> Printf.sprintf "U%d" w
+  | Reread k -> Printf.sprintf "RR%d" k
 
 (* 32 locks over four indicator words: draws often share a word and often
    repeat a lock. *)
@@ -324,6 +399,7 @@ let gen_op =
         (5, map (fun w -> Read w) gen_lock);
         (2, map (fun w -> Write w) gen_lock);
         (1, map (fun w -> Unlock w) gen_lock);
+        (2, map (fun k -> Reread k) (int_bound 7));
       ])
 
 let qcheck_read_unlock_all =
@@ -331,8 +407,9 @@ let qcheck_read_unlock_all =
      (upgrades included) and early per-lock read_unlocks while ctx B
      (tid 1) holds read locks on some of the same locks.  B announces the
      top priority, so A's writes on B's locks fail instead of waiting.
-     Writes must succeed exactly on the locks B does not hold, and a
-     model of A's read bits must match [holds_read] before release;
+     Writes must succeed exactly on the locks B does not hold, re-reads
+     of A's read-held locks succeed and record nothing, and a model of
+     A's read bits must match [holds_read] before release;
      after A's [read_unlock_all] A holds nothing and B still holds its
      locks; after B's, the table is clean. *)
   QCheck.Test.make ~name:"read_unlock_all releases exactly A's locks"
@@ -351,7 +428,7 @@ let qcheck_read_unlock_all =
       List.iter (fun w -> assert (L.try_or_wait_read_lock t b w)) b_locks;
       L.announce_priority t b 1;
       let model = Hashtbl.create 16 in
-      let writes_ok = ref true in
+      let writes_ok = ref true and rereads_ok = ref true in
       List.iter
         (function
           | Read w ->
@@ -368,7 +445,16 @@ let qcheck_read_unlock_all =
               end
           | Unlock w ->
               L.read_unlock t a w;
-              Hashtbl.remove model w)
+              Hashtbl.remove model w
+          | Reread k -> (
+              let held = List.sort compare (List.of_seq (Hashtbl.to_seq_keys model)) in
+              match held with
+              | [] -> ()
+              | _ ->
+                  let w = List.nth held (k mod List.length held) in
+                  let recorded = a.rs.n in
+                  if not (L.try_or_wait_read_lock t a w && a.rs.n = recorded)
+                  then rereads_ok := false))
         ops;
       let all = List.init 128 Fun.id in
       let model_ok =
@@ -385,7 +471,8 @@ let qcheck_read_unlock_all =
       L.read_unlock_all t b;
       L.clear_announcement t a;
       L.clear_announcement t b;
-      !writes_ok && model_ok && a_clear && b_kept && L.leaked t = 0)
+      !writes_ok && !rereads_ok && model_ok && a_clear && b_kept
+      && L.leaked t = 0)
 
 let test_read_unlock_all_idempotent () =
   let t = fresh () in
@@ -417,6 +504,12 @@ let () =
             test_write_lock_while_holding_write;
           Alcotest.test_case "lock_index" `Quick test_lock_index_masks;
         ] );
+      ( "read re-entrancy",
+        on_both_paths "re-read records nothing" test_read_reentrant
+        @ on_both_paths "read under own write, released by commit"
+            test_read_under_own_write_released_by_commit
+        @ on_both_paths "re-read while a writer drains"
+            test_reread_while_writer_drains );
       ( "conflict resolution",
         [
           Alcotest.test_case "reader loses to lower-ts writer" `Quick
