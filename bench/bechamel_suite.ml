@@ -5,7 +5,9 @@
    answer "what does one operation cost?" while the series answer "how
    does it scale?".  The [rwl_sf/] and [stm/] rows price the rungs below
    a structure operation: one read-lock acquire, one transactional
-   read. *)
+   read; the [dbx/] rows split a YCSB transaction into generating it and
+   executing it.  Each row prints minor-heap words and nanoseconds per
+   operation. *)
 
 open Bechamel
 
@@ -57,6 +59,13 @@ let tests () =
   let cc = Dbx.Cc_2plsf.create table in
   let tid = Util.Tid.get () in
   let gen = Dbx.Ycsb.make_gen ~num_keys:10_000 ~theta:0.6 ~write_ratio:0.5 () in
+  (* [Ycsb.next] reuses one record, so the execute rung cycles copies. *)
+  let txns =
+    Array.init 64 (fun _ ->
+        let t = Dbx.Ycsb.next gen in
+        { Dbx.Ycsb.keys = Array.copy t.keys; ops = Array.copy t.ops })
+  in
+  let txn_i = ref 0 in
   let counters = Array.init 20 (fun _ -> Twoplsf.Stm.tvar 0) in
   (* One table per rung: releasing the fresh lock's word must not
      release the held one. *)
@@ -112,9 +121,12 @@ let tests () =
                Array.iter
                  (fun c -> Twoplsf.Stm.write tx c (Twoplsf.Stm.read tx c + 1))
                  counters)));
-    Test.make ~name:"fig11/ycsb txn 16 accesses (2PLSF cc)"
+    Test.make ~name:"dbx/ycsb next"
+      (Staged.stage (fun () -> ignore (Dbx.Ycsb.next gen)));
+    Test.make ~name:"dbx/execute 16 accesses (2PLSF cc)"
       (Staged.stage (fun () ->
-           ignore (Dbx.Cc_2plsf.execute cc ~tid (Dbx.Ycsb.next gen))));
+           txn_i := (!txn_i + 1) land 63;
+           ignore (Dbx.Cc_2plsf.execute cc ~tid txns.(!txn_i))));
   ]
 
 let run () =
@@ -124,17 +136,27 @@ let run () =
       ~stabilize:false ()
   in
   let grouped = Test.make_grouped ~name:"per-op" (tests ()) in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
+  let raw =
+    Benchmark.all cfg
+      Toolkit.Instance.[ monotonic_clock; minor_allocated ]
+      grouped
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
+  let ns = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let words = Analyze.all ols Toolkit.Instance.minor_allocated raw in
+  (* Per repetition; "n/a" when the fit gave no estimate. *)
+  let per_op results name =
+    match Option.bind (Hashtbl.find_opt results name) Analyze.OLS.estimates with
+    | Some (x :: _) ->
+        let n = Option.value ~default:1 (List.assoc_opt name repeats) in
+        Printf.sprintf "%.1f" (x /. float n)
+    | Some [] | None -> "n/a"
+  in
+  let names = Hashtbl.fold (fun name _ acc -> name :: acc) ns [] in
   List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some (ns :: _) ->
-          let n = Option.value ~default:1 (List.assoc_opt name repeats) in
-          Printf.printf "%-56s %12.1f ns/op\n%!" name (ns /. float n)
-      | Some [] | None -> Printf.printf "%-56s %12s\n%!" name "n/a")
-    (List.sort compare rows)
+    (fun name ->
+      Printf.printf "%-56s %8s words/op %12s ns/op\n%!" name
+        (per_op words name) (per_op ns name))
+    (List.sort compare names)

@@ -43,7 +43,7 @@ struct
     tid : int;
     rlocks : int Util.Vec.t; (* rids share-locked *)
     wlocks : int Util.Vec.t; (* rids exclusive-locked *)
-    undo : (int * Bytes.t) Util.Vec.t;
+    undo : Undo.t;
   }
 
   type t = {
@@ -80,7 +80,7 @@ struct
               tid;
               rlocks = Util.Vec.create ~dummy:(-1) ();
               wlocks = Util.Vec.create ~dummy:(-1) ();
-              undo = Util.Vec.create ~dummy:(-1, Bytes.empty) ();
+              undo = Undo.create ();
             });
     }
 
@@ -162,42 +162,45 @@ struct
           record_wait_edges t rl ~self;
           if would_deadlock t self then Die else Wait
 
+  let rec acquire_row t p rl ~exclusive b =
+    Rwlock.Spinlock.lock rl.guard;
+    let d = decide t p rl ~exclusive in
+    Rwlock.Spinlock.unlock rl.guard;
+    match d with
+    | Granted ->
+        if V.variant = Dl_detect then clear_out_edges t p.tid;
+        true
+    | Die ->
+        if V.variant = Dl_detect then clear_out_edges t p.tid;
+        false
+    | Wait ->
+        Util.Backoff.once b;
+        acquire_row t p rl ~exclusive b
+
   let acquire t p rid ~exclusive =
-    let rl = t.locks.(rid) in
-    let b = Util.Backoff.create () in
-    let rec go () =
-      Rwlock.Spinlock.lock rl.guard;
-      let d = decide t p rl ~exclusive in
-      Rwlock.Spinlock.unlock rl.guard;
-      match d with
-      | Granted ->
-          if V.variant = Dl_detect then clear_out_edges t p.tid;
-          true
-      | Die ->
-          if V.variant = Dl_detect then clear_out_edges t p.tid;
-          false
-      | Wait ->
-          Util.Backoff.once b;
-          go ()
-    in
-    go ()
+    acquire_row t p t.locks.(rid) ~exclusive (Util.Backoff.create ())
 
   let release_all t p =
     let self = p.tid in
-    Util.Vec.iter
-      (fun rid ->
-        let rl = t.locks.(rid) in
-        Rwlock.Spinlock.lock rl.guard;
-        if rl.writer = self + 1 then rl.writer <- 0;
-        Rwlock.Spinlock.unlock rl.guard)
-      p.wlocks;
-    Util.Vec.iter
-      (fun rid ->
-        let rl = t.locks.(rid) in
-        Rwlock.Spinlock.lock rl.guard;
-        remove_reader rl self;
-        Rwlock.Spinlock.unlock rl.guard)
-      p.rlocks
+    for i = 0 to Util.Vec.length p.wlocks - 1 do
+      let rl = t.locks.(Util.Vec.get p.wlocks i) in
+      Rwlock.Spinlock.lock rl.guard;
+      if rl.writer = self + 1 then rl.writer <- 0;
+      Rwlock.Spinlock.unlock rl.guard
+    done;
+    for i = 0 to Util.Vec.length p.rlocks - 1 do
+      let rl = t.locks.(Util.Vec.get p.rlocks i) in
+      Rwlock.Spinlock.lock rl.guard;
+      remove_reader rl self;
+      Rwlock.Spinlock.unlock rl.guard
+    done
+
+  let leaked_locks t =
+    Array.fold_left
+      (fun n rl ->
+        if rl.writer <> 0 || rl.readers_lo <> 0 || rl.readers_hi <> 0 then n + 1
+        else n)
+      0 t.locks
 
   let holds_write t p rid = t.locks.(rid).writer = p.tid + 1
   let holds_read t p rid = has_reader t.locks.(rid) p.tid
@@ -205,7 +208,7 @@ struct
   let attempt t p (txn : Ycsb.txn) =
     Util.Vec.clear p.rlocks;
     Util.Vec.clear p.wlocks;
-    Util.Vec.clear p.undo;
+    Undo.clear p.undo;
     let n = Array.length txn.keys in
     let ok = ref true in
     let i = ref 0 in
@@ -226,9 +229,8 @@ struct
           let held = holds_write t p rid in
           if held || acquire t p rid ~exclusive:true then begin
             if not held then Util.Vec.push p.wlocks rid;
-            let payload = Table.payload t.table rid in
-            Util.Vec.push p.undo (rid, Bytes.copy payload);
-            Cc_intf.write_work payload
+            Undo.save p.undo t.table rid;
+            Cc_intf.write_work (Table.payload t.table rid)
           end
           else ok := false);
       incr i
@@ -238,10 +240,7 @@ struct
       true
     end
     else begin
-      Util.Vec.iter_rev
-        (fun (rid, image) ->
-          Bytes.blit image 0 (Table.payload t.table rid) 0 Table.tuple_size)
-        p.undo;
+      Undo.restore p.undo t.table;
       release_all t p;
       false
     end

@@ -12,7 +12,7 @@ let obs = Obs.Scope.create "DBx-2PLSF"
 type per_thread = {
   ctx : Rwl_sf.ctx; (* also holds the read set *)
   wlocks : int Util.Vec.t;
-  undo : (int * Bytes.t) Util.Vec.t; (* (rid, pre-image) *)
+  undo : Undo.t;
   mutable abort_reason : Obs.Events.abort_reason;
 }
 
@@ -42,7 +42,7 @@ let create table =
           {
             ctx = Rwl_sf.make_ctx ~tid;
             wlocks = Util.Vec.create ~dummy:(-1) ();
-            undo = Util.Vec.create ~dummy:(-1, Bytes.empty) ();
+            undo = Undo.create ();
             abort_reason = Obs.Events.User_restart;
           });
     wal = None;
@@ -64,18 +64,21 @@ let readonly_fail t reason =
   raise (Stm_intf.Degraded_read_only { engine = "DBx-2PLSF"; reason })
 
 let release t p =
-  Util.Vec.iter (fun w -> Rwl_sf.write_unlock t.locks p.ctx w) p.wlocks;
+  for i = 0 to Util.Vec.length p.wlocks - 1 do
+    Rwl_sf.write_unlock t.locks p.ctx (Util.Vec.get p.wlocks i)
+  done;
   Rwl_sf.read_unlock_all t.locks p.ctx
 
 let rollback t p =
-  Util.Vec.iter_rev
-    (fun (rid, image) -> Bytes.blit image 0 (Table.payload t.table rid) 0 Table.tuple_size)
-    p.undo;
+  Undo.restore p.undo t.table;
   (* Close every row's checkpoint seqlock window only after the whole
      pre-image is back in place (a duplicate rid's mark is already even
      after the first pass — [mark_undo] is parity-guarded). *)
   (match t.wal with
-  | Some w -> Util.Vec.iter (fun (rid, _) -> Wal.mark_undo w ~rid) p.undo
+  | Some w ->
+      for i = 0 to Undo.length p.undo - 1 do
+        Wal.mark_undo w ~rid:(Undo.rid p.undo i)
+      done
   | None -> ());
   release t p
 
@@ -86,11 +89,11 @@ let rollback t p =
    so holding the locks never spans an fsync. *)
 let commit_locked t p =
   match t.wal with
-  | Some w when not (Util.Vec.is_empty p.undo) -> begin
+  | Some w when not (Undo.is_empty p.undo) -> begin
       if !Chaos.on then Chaos.point Chaos.Commit_durable_pre;
       match
-        Wal.log_commit w ~tid:p.ctx.tid ~n:(Util.Vec.length p.undo)
-          ~rid:(fun i -> fst (Util.Vec.get p.undo i))
+        Wal.log_commit w ~tid:p.ctx.tid ~n:(Undo.length p.undo)
+          ~rid:(Undo.rid p.undo)
       with
       | exception Wal.Degraded reason ->
           (* The log refused before drawing an LSN: locks are still held
@@ -134,7 +137,7 @@ let commit_locked t p =
 
 let attempt t p (txn : Ycsb.txn) =
   Util.Vec.clear p.wlocks;
-  Util.Vec.clear p.undo;
+  Undo.clear p.undo;
   let n = Array.length txn.keys in
   let ok = ref true in
   let i = ref 0 in
@@ -152,10 +155,9 @@ let attempt t p (txn : Ycsb.txn) =
         let held = Rwl_sf.holds_write t.locks p.ctx w in
         if held || Rwl_sf.try_or_wait_write_lock t.locks p.ctx w then begin
           if not held then Util.Vec.push p.wlocks w;
-          let payload = Table.payload t.table rid in
-          Util.Vec.push p.undo (rid, Bytes.copy payload);
+          Undo.save p.undo t.table rid;
           (match t.wal with Some w -> Wal.mark_dirty w ~rid | None -> ());
-          Cc_intf.write_work payload
+          Cc_intf.write_work (Table.payload t.table rid)
         end
         else begin
           p.abort_reason <-
@@ -220,26 +222,29 @@ let execute t ~tid txn =
    lock/undo/commit machinery as the YCSB path, so the WAL hooks cover
    it identically and the row-balance sum is a recovery invariant. *)
 
+let transfer_write t p rid =
+  let w = Rwl_sf.lock_index t.locks rid in
+  let held = Rwl_sf.holds_write t.locks p.ctx w in
+  if held || Rwl_sf.try_or_wait_write_lock t.locks p.ctx w then begin
+    if not held then Util.Vec.push p.wlocks w;
+    Undo.save p.undo t.table rid;
+    (match t.wal with Some wal -> Wal.mark_dirty wal ~rid | None -> ());
+    true
+  end
+  else begin
+    p.abort_reason <-
+      (if p.ctx.preempted then Obs.Events.Priority_preemption
+       else Obs.Events.Write_lock_conflict);
+    false
+  end
+
 let attempt_transfer t p ~src_rid ~dst_rid ~amount =
   Util.Vec.clear p.wlocks;
-  Util.Vec.clear p.undo;
-  let write rid =
-    let w = Rwl_sf.lock_index t.locks rid in
-    let held = Rwl_sf.holds_write t.locks p.ctx w in
-    if held || Rwl_sf.try_or_wait_write_lock t.locks p.ctx w then begin
-      if not held then Util.Vec.push p.wlocks w;
-      Util.Vec.push p.undo (rid, Bytes.copy (Table.payload t.table rid));
-      (match t.wal with Some wal -> Wal.mark_dirty wal ~rid | None -> ());
-      true
-    end
-    else begin
-      p.abort_reason <-
-        (if p.ctx.preempted then Obs.Events.Priority_preemption
-         else Obs.Events.Write_lock_conflict);
-      false
-    end
-  in
-  if write src_rid && (src_rid = dst_rid || write dst_rid) then begin
+  Undo.clear p.undo;
+  if
+    transfer_write t p src_rid
+    && (src_rid = dst_rid || transfer_write t p dst_rid)
+  then begin
     Table.set_balance t.table src_rid (Table.balance t.table src_rid - amount);
     Table.set_balance t.table dst_rid (Table.balance t.table dst_rid + amount);
     commit_locked t p;

@@ -35,14 +35,13 @@ let create ~num_rows =
 
 let num_rows t = Array.length t.payloads
 
-let lookup t key =
-  let rec probe slot =
-    match t.buckets.(slot) with
-    | -1 -> raise Not_found
-    | rid when t.keys.(rid) = key -> rid
-    | _ -> probe ((slot + 1) land t.bucket_mask)
-  in
-  probe (hash_key key land t.bucket_mask)
+let rec probe t key slot =
+  match t.buckets.(slot) with
+  | -1 -> raise Not_found
+  | rid when t.keys.(rid) = key -> rid
+  | _ -> probe t key ((slot + 1) land t.bucket_mask)
+
+let lookup t key = probe t key (hash_key key land t.bucket_mask)
 
 let payload t rid = t.payloads.(rid)
 

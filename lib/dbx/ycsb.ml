@@ -25,17 +25,25 @@ let make_gen ?(seed = 7) ~num_keys ~theta ~write_ratio () =
       };
   }
 
+(* Monomorphic on purpose: a polymorphic helper compiles [<>] to
+   [caml_notequal]. *)
+let rec has_key (keys : int array) k j =
+  j > 0 && (keys.(j - 1) = k || has_key keys k (j - 1))
+
 let next g =
   let t = g.txn in
   for i = 0 to accesses_per_txn - 1 do
-    (* Reject duplicate keys within the transaction. *)
-    let rec draw attempts =
-      let k = Util.Zipf.next g.zipf in
-      let rec dup j = j < i && (t.keys.(j) = k || dup (j + 1)) in
-      if dup 0 && attempts < 100 then draw (attempts + 1) else k
-    in
-    t.keys.(i) <- draw 0;
-    t.ops.(i) <-
-      (if Util.Sprng.float g.rng < g.write_ratio then Write else Read)
+    (* Reject duplicate keys within the transaction (at most 100 redraws). *)
+    let k = ref (Util.Zipf.next g.zipf) in
+    let attempts = ref 0 in
+    while !attempts < 100 && has_key t.keys !k i do
+      k := Util.Zipf.next g.zipf;
+      incr attempts
+    done;
+    t.keys.(i) <- !k;
+    (* [Util.Sprng.float], written out: a float returned across modules
+       is boxed. *)
+    let u = float_of_int (Util.Sprng.bits g.rng) /. float_of_int max_int in
+    t.ops.(i) <- (if u < g.write_ratio then Write else Read)
   done;
   t

@@ -69,14 +69,12 @@ let depart_all t rs =
 
 let holds t ~tid w = Atomic.get t.words.(word_index t tid w) land bit w <> 0
 
-let is_empty t ~self w =
-  let hwm = Util.Tid.high_water () in
-  let rec go tid =
-    if tid >= hwm then true
-    else if tid <> self && holds t ~tid w then false
-    else go (tid + 1)
-  in
-  go 0
+(* Top-level, not a local closure: a write acquire allocates nothing. *)
+let rec empty_from t ~self w ~hwm tid =
+  tid >= hwm
+  || ((tid = self || not (holds t ~tid w)) && empty_from t ~self w ~hwm (tid + 1))
+
+let is_empty t ~self w = empty_from t ~self w ~hwm:(Util.Tid.high_water ()) 0
 
 let iter_readers t ~self w f =
   let hwm = Util.Tid.high_water () in

@@ -5,10 +5,12 @@ let create () = Atomic.make false
 let try_lock t = (not (Atomic.get t)) && Atomic.compare_and_set t false true
 
 let lock t =
-  let b = Util.Backoff.create () in
-  while not (try_lock t) do
-    Util.Backoff.once b
-  done
+  if not (try_lock t) then begin
+    let b = Util.Backoff.create () in
+    while not (try_lock t) do
+      Util.Backoff.once b
+    done
+  end
 
 let unlock t = Atomic.set t false
 

@@ -27,7 +27,7 @@ module Make (S : Stm_intf.STM) (V : Map_intf.VALUE) = struct
   (* Geometric tower height: p = 1/2 per extra level. *)
   let random_level t =
     let rng = Domain.DLS.get rng_key in
-    let bits = Int64.to_int (Util.Sprng.next rng) land max_int in
+    let bits = Util.Sprng.bits rng in
     let rec count lvl bits =
       if lvl >= t.max_level || bits land 1 = 0 then lvl
       else count (lvl + 1) (bits lsr 1)

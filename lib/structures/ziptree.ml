@@ -22,7 +22,7 @@ module Make (S : Stm_intf.STM) (V : Map_intf.VALUE) = struct
 
   let random_rank () =
     let rng = Domain.DLS.get rng_key in
-    let bits = Int64.to_int (Util.Sprng.next rng) land max_int in
+    let bits = Util.Sprng.bits rng in
     let rec count r bits =
       if bits land 1 = 1 && r < 60 then count (r + 1) (bits lsr 1) else r
     in

@@ -1,12 +1,18 @@
 (** Waiting-loop pacing.
 
-    The paper's [pause()] is an x86 PAUSE executed while spinning.  This
-    host has a single hardware core, so a spinning domain that never yields
-    would hold the CPU for a full scheduler timeslice (milliseconds) while
-    the lock holder it waits for cannot run.  {!once} therefore escalates:
-    a few [Domain.cpu_relax] hints, then short [nanosleep]s that return the
-    core to the runnable lock holder.  On a multi-core host the relax phase
-    dominates and behaviour approximates the paper's spin-wait. *)
+    The paper's [pause()] is an x86 PAUSE executed while spinning until the
+    lock holder finishes.  {!once} spins with [Domain.cpu_relax] until the
+    wait has lasted one spin budget, then sleeps in short, capped
+    [nanosleep]s so a waiter whose holder is descheduled gives the CPU
+    back.
+
+    The budget is what one minimal sleep really costs on the running
+    host, not what it asks for: Linux rounds every [nanosleep] up by the
+    thread's timer slack (50 µs by default), so [Unix.sleepf 1e-6] takes
+    56-65 µs on a 2-vCPU KVM guest.  Spinning no longer than a sleep costs is the classic
+    competitive bound: a wait burns at most twice the CPU of sleeping at
+    once, and a holder that releases within the budget is noticed within
+    one [cpu_relax] instead of one sleep. *)
 
 type t
 
@@ -15,14 +21,13 @@ val create : unit -> t
 
 val once : t -> unit
 (** One wait step; call inside the loop body exactly where the paper's
-    pseudocode says [pause()]. *)
+    pseudocode says [pause()].  Until the spin budget has elapsed since
+    the state's first [once], a step is one [Domain.cpu_relax]; after
+    that every step sleeps, 1 µs longer each time up to 20 µs requested.
 
-val reset : t -> unit
-(** Forget escalation (call after the awaited condition made progress). *)
-
-val yield : unit -> unit
-(** Unconditionally give up the core briefly (used between transaction
-    attempts when waiting for a conflicting transaction to commit). *)
+    The budget is the median wall time of 5 [Unix.sleepf 1e-6] calls,
+    capped at 1 ms, measured by the first wait of the process that
+    outlasts one step.  It is a measurement, never an option. *)
 
 val exponential : attempt:int -> unit
 (** Capped exponential backoff used by the no-wait concurrency controls

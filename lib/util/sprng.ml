@@ -1,20 +1,28 @@
-type t = { mutable s : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would box a fresh Int64 on every draw. *)
+type t = Bytes.t
 
-let create seed = { s = Int64.of_int seed }
-
-let next t =
-  t.s <- Int64.add t.s 0x9E3779B97F4A7C15L;
-  let z = t.s in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 (Int64.of_int seed);
+  t
+
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] step t =
+  let s = Int64.add (get64 t 0) golden in
+  set64 t 0 s;
+  mix64 s
+
+let next t = step t
 
 let hash4 a b c d =
   let absorb z x = mix64 (Int64.add (Int64.logxor z (Int64.of_int x)) golden) in
@@ -24,13 +32,12 @@ let hash4 a b c d =
   let z = absorb z d in
   Int64.to_int (mix64 z) land max_int
 
+let bits t = Int64.to_int (step t) land max_int
+
 let int t n =
   assert (n > 0);
-  let v = Int64.to_int (next t) land max_int in
-  v mod n
+  bits t mod n
 
-let float t =
-  let v = Int64.to_int (next t) land max_int in
-  float_of_int v /. float_of_int max_int
+let float t = float_of_int (bits t) /. float_of_int max_int
 
-let bool t = Int64.logand (next t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L

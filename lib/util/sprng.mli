@@ -14,6 +14,12 @@ val create : int -> t
 val next : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits : t -> int
+(** The next output with its top bit cleared: a non-negative [int] that
+    allocates nothing.  [float t] is [float_of_int (bits t) /. float_of_int
+    max_int]; a caller in another module that must not box a [float]
+    return computes that expression itself. *)
+
 val int : t -> int -> int
 (** [int t n] draws uniformly from [0, n).  Requires [n > 0]. *)
 

@@ -35,7 +35,8 @@ let create ?(seed = 42) ~n ~theta () =
 let next t =
   if t.theta = 0. then Sprng.int t.rng t.n
   else begin
-    let u = Sprng.float t.rng in
+    (* [Sprng.float], written out: a float returned across modules is boxed. *)
+    let u = float_of_int (Sprng.bits t.rng) /. float_of_int max_int in
     let uz = u *. t.zetan in
     if uz < 1. then 0
     else if uz < 1. +. t.half_pow_theta then 1

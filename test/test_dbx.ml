@@ -71,6 +71,28 @@ let test_ycsb_write_ratio () =
   let ratio = float_of_int !writes /. float_of_int !total in
   if ratio < 0.4 || ratio > 0.6 then Alcotest.failf "write ratio %f" ratio
 
+(* Golden stream for seed 5: the generator's keys and ops must stay
+   bit-identical, or every benchmark input changes. *)
+let test_ycsb_golden () =
+  let g =
+    Dbx.Ycsb.make_gen ~seed:5 ~num_keys:1000 ~theta:0.9 ~write_ratio:0.5 ()
+  in
+  List.iter
+    (fun (keys, ops) ->
+      let txn = Dbx.Ycsb.next g in
+      check Alcotest.(array int) "golden keys" keys txn.keys;
+      check Alcotest.string "golden ops" ops
+        (String.init (Array.length txn.ops) (fun i ->
+             if txn.ops.(i) = Dbx.Ycsb.Write then 'W' else 'R')))
+    [
+      ( [| 59; 0; 682; 19; 235; 50; 727; 176; 21; 321; 41; 339; 355; 241; 10; 413 |],
+        "WRRRRRRRRWWRRRWW" );
+      ( [| 106; 360; 31; 759; 193; 43; 102; 429; 226; 38; 390; 16; 0; 277; 605; 67 |],
+        "WRRRRRWRWRRRWWWR" );
+      ( [| 519; 391; 39; 301; 0; 1; 47; 464; 90; 461; 630; 72; 126; 530; 5; 51 |],
+        "RRRWWWWRWRWRWWRR" );
+    ]
+
 let test_ycsb_contention_levels () =
   check (Alcotest.float 1e-9) "high" 0.9 (Dbx.Ycsb.contention_theta `High);
   check (Alcotest.float 1e-9) "medium" 0.6 (Dbx.Ycsb.contention_theta `Medium);
@@ -187,6 +209,130 @@ let test_cc_2plsf_lock_sweep () =
   check Alcotest.int "no leaked locks" 0 (Dbx.Cc_2plsf.leaked_locks state);
   assert_rows_consistent table
 
+(* ---- undo arena ---- *)
+
+(* Longer than the arena's initial [accesses_per_txn] images, and row 5
+   is written twice: rollback must restore its oldest image. *)
+let long_write_keys =
+  Array.init (Dbx.Ycsb.accesses_per_txn + 2) (fun i ->
+      if i = Dbx.Ycsb.accesses_per_txn + 1 then 5 else i)
+
+let snapshot table =
+  Array.init (Dbx.Table.num_rows table) (fun rid ->
+      Bytes.copy (Dbx.Table.payload table rid))
+
+(* Every row equals its snapshot, except that bytes 0..7 of row [rid]
+   were bumped [bumps rid] times by [Cc_intf.write_work]. *)
+let check_rows_against before table ~bumps =
+  Array.iteri
+    (fun rid image ->
+      let expected = Bytes.copy image in
+      for i = 0 to 7 do
+        Bytes.set expected i
+          (Char.chr ((Char.code (Bytes.get image i) + bumps rid) land 0xFF))
+      done;
+      if not (Bytes.equal expected (Dbx.Table.payload table rid)) then
+        Alcotest.failf "row %d differs from its expected image" rid)
+    before
+
+(* A failed checkpoint poisons the log behind the engine's back, so the
+   next commit record is refused inside the commit window, with every
+   write lock held: the transaction must roll back completely. *)
+let test_undo_2plsf_refused_commit () =
+  let module Wal = Twoplsf_wal.Wal in
+  let module Wal_io = Twoplsf_wal.Wal_io in
+  let table = Dbx.Table.create ~num_rows:64 in
+  (* full after the first write: the table image is refused *)
+  let io =
+    Wal_io.faulty
+      (Wal_io.fault_config ~seed:1 ~enospc_after_bytes:1 ())
+      (Twoplsf_wal.Sim_fs.io (Twoplsf_wal.Sim_fs.create ()))
+  in
+  let w =
+    Wal.create (Wal.config ~io ~dir:"wal" ()) (Dbx.Cc_2plsf.wal_store table)
+  in
+  let cc = Dbx.Cc_2plsf.create table in
+  Dbx.Cc_2plsf.set_wal cc (Some w);
+  let tid = Util.Tid.get () in
+  (* the first commit record fills the device *)
+  ignore
+    (Dbx.Cc_2plsf.execute cc ~tid { Dbx.Ycsb.keys = [| 40 |]; ops = [| Dbx.Ycsb.Write |] });
+  (match Wal.checkpoint w with
+  | () -> Alcotest.fail "a table image fit on a full device"
+  | exception Wal.Degraded _ -> ());
+  let before = snapshot table in
+  let txn =
+    {
+      Dbx.Ycsb.keys = long_write_keys;
+      ops = Array.map (fun _ -> Dbx.Ycsb.Write) long_write_keys;
+    }
+  in
+  (match Dbx.Cc_2plsf.execute cc ~tid txn with
+  | _ -> Alcotest.fail "commit acknowledged on a refused log"
+  | exception Stm_intf.Degraded_read_only _ -> ());
+  check_rows_against before table ~bumps:(fun _ -> 0);
+  check Alcotest.int "no leaked locks" 0 (Dbx.Cc_2plsf.leaked_locks cc);
+  Dbx.Cc_2plsf.set_wal cc None;
+  Wal.stop w
+
+(* NO_WAIT rolls back whenever the long transaction's last access, a
+   read of row 63, meets the other domain's write lock on it.  After the
+   retries every row must carry exactly the committed bumps. *)
+let test_undo_2pl_conflict_rollback () =
+  let module C = Dbx.Cc_2pl.Make (struct
+    let variant = Dbx.Cc_2pl.No_wait
+  end) in
+  let table = Dbx.Table.create ~num_rows:64 in
+  let cc = C.create table in
+  let before = snapshot table in
+  let hot = 63 in
+  let long =
+    {
+      Dbx.Ycsb.keys = Array.append long_write_keys [| hot |];
+      ops =
+        Array.append
+          (Array.map (fun _ -> Dbx.Ycsb.Write) long_write_keys)
+          [| Dbx.Ycsb.Read |];
+    }
+  in
+  (* holds the write lock on [hot] while it reads 40 other rows *)
+  let holder =
+    {
+      Dbx.Ycsb.keys = Array.init 41 (fun i -> if i = 0 then hot else 20 + i);
+      ops = Array.init 41 (fun i -> if i = 0 then Dbx.Ycsb.Write else Dbx.Ycsb.Read);
+    }
+  in
+  let stop = Atomic.make false in
+  let counts =
+    Harness.Exec.run_each ~threads:2 (fun i ->
+        let tid = Util.Tid.get () in
+        let commits = ref 0 and aborts = ref 0 in
+        if i = 0 then begin
+          let t0 = Util.Clock.now_ns () in
+          while !aborts = 0 && Util.Clock.now_ns () - t0 < 5_000_000_000 do
+            aborts := !aborts + C.execute cc ~tid long;
+            incr commits
+          done;
+          Atomic.set stop true
+        end
+        else
+          while not (Atomic.get stop) do
+            ignore (C.execute cc ~tid holder);
+            incr commits
+          done;
+        (!commits, !aborts))
+  in
+  let long_commits, aborts = List.nth counts 0 in
+  let holder_commits, _ = List.nth counts 1 in
+  if aborts = 0 then Alcotest.fail "no conflict forced a rollback in 5 s";
+  let bumps rid =
+    let writes = ref 0 in
+    Array.iter (fun k -> if k = rid then incr writes) long_write_keys;
+    (!writes * long_commits) + if rid = hot then holder_commits else 0
+  in
+  check_rows_against before table ~bumps;
+  check Alcotest.int "no leaked locks" 0 (C.leaked_locks cc)
+
 let () =
   ignore (Util.Tid.register ());
   Alcotest.run "dbx"
@@ -205,6 +351,14 @@ let () =
           Alcotest.test_case "write ratio" `Quick test_ycsb_write_ratio;
           Alcotest.test_case "contention levels" `Quick
             test_ycsb_contention_levels;
+          Alcotest.test_case "golden stream" `Quick test_ycsb_golden;
+        ] );
+      ( "undo arena",
+        [
+          Alcotest.test_case "2PLSF refused commit rolls back" `Quick
+            test_undo_2plsf_refused_commit;
+          Alcotest.test_case "NO_WAIT conflict rolls back" `Quick
+            test_undo_2pl_conflict_rollback;
         ] );
       ("cc single-thread", List.map cc_single_thread Dbx.Runner.ccs);
       ("cc upgrade paths", List.map cc_upgrade_paths Dbx.Runner.ccs);

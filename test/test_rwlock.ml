@@ -259,6 +259,7 @@ module Trylock_battery (L : Rwlock.Trylock_rw.S) = struct
     ignore
       (Harness.Exec.run_each ~threads:4 (fun _ ->
            let tid = Util.Tid.get () in
+           let b = Util.Backoff.create () in
            let n = ref 0 in
            while !n < 500 do
              if L.try_write_lock l ~tid 7 then begin
@@ -266,7 +267,7 @@ module Trylock_battery (L : Rwlock.Trylock_rw.S) = struct
                incr n;
                L.write_unlock l ~tid 7
              end
-             else Util.Backoff.yield ()
+             else Util.Backoff.once b
            done));
     check Alcotest.int "exact count" 2_000 !counter
 

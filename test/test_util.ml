@@ -9,7 +9,23 @@ let test_sprng_deterministic () =
   let a = Util.Sprng.create 42 and b = Util.Sprng.create 42 in
   for _ = 1 to 100 do
     check Alcotest.int64 "same stream" (Util.Sprng.next a) (Util.Sprng.next b)
-  done
+  done;
+  (* Golden stream for seed 42: every benchmark input derives from these
+     draws, so a representation change must leave them bit-identical. *)
+  let r = Util.Sprng.create 42 in
+  List.iter
+    (fun v -> check Alcotest.int64 "golden next" v (Util.Sprng.next r))
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+      0x581CE1FF0E4AE394L ];
+  List.iter
+    (fun v -> check Alcotest.int "golden int" v (Util.Sprng.int r 1000))
+    [ 250; 350; 925; 196 ];
+  List.iter
+    (fun v -> check (Alcotest.float 0.) "golden float" v (Util.Sprng.float r))
+    [ 0x1.705b8770b3d7ep-2; 0x1.e54d738297f78p-2; 0x1.a3a39253bad8dp-1 ];
+  List.iter
+    (fun v -> check Alcotest.bool "golden bool" v (Util.Sprng.bool r))
+    [ false; false; true; false; false; true; true; true ]
 
 let test_sprng_int_range () =
   let rng = Util.Sprng.create 7 in
@@ -226,18 +242,62 @@ let test_once_concurrent_force () =
   check Alcotest.int "thunk ran once" 1 (Atomic.get count);
   List.iter (fun v -> check Alcotest.int "same value" 1 v) values
 
-(* ---- Backoff (sanity only: it must terminate and not raise) ---- *)
+(* ---- Backoff ---- *)
 
-let test_backoff_runs () =
+(* Must be the first Backoff use in this process (its group runs first):
+   both domains race to measure the spin budget.  A [Lazy] budget raised
+   [CamlinternalLazy.Undefined] in one of them here. *)
+let test_backoff_first_use_race () =
+  let go = Atomic.make false in
+  let waiter () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    let b = Util.Backoff.create () in
+    for _ = 1 to 3 do
+      Util.Backoff.once b
+    done
+  in
+  let d1 = Domain.spawn waiter and d2 = Domain.spawn waiter in
+  Atomic.set go true;
+  Domain.join d1;
+  Domain.join d2
+
+(* A short wait never sleeps: 200 steps fit inside the spin budget.
+   Best of 3, so one preemption of the test process cannot fail it;
+   sleeping from the 7th step, as earlier pacing did, takes ~13 ms. *)
+let test_backoff_spins_before_sleeping () =
+  let run () =
+    let b = Util.Backoff.create () in
+    let t0 = Util.Clock.now_ns () in
+    for _ = 1 to 200 do
+      Util.Backoff.once b
+    done;
+    Util.Clock.now_ns () - t0
+  in
+  let best = List.fold_left min max_int (List.init 3 (fun _ -> run ())) in
+  if best >= 1_000_000 then Alcotest.failf "200 steps took %d ns" best
+
+(* A long wait sleeps: the spin phase is bounded, so CPU time stays well
+   under wall time. *)
+let test_backoff_long_wait_sleeps () =
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let b = Util.Backoff.create () in
-  for _ = 1 to 12 do
+  let cpu0 = cpu () and t0 = Util.Clock.now_ns () in
+  while Util.Clock.now_ns () - t0 < 50_000_000 do
     Util.Backoff.once b
   done;
-  Util.Backoff.reset b;
-  Util.Backoff.once b;
+  let wall = float_of_int (Util.Clock.now_ns () - t0) *. 1e-9 in
+  let used = cpu () -. cpu0 in
+  if used >= wall /. 2. then
+    Alcotest.failf "%.1f ms CPU over a %.1f ms wait" (used *. 1e3) (wall *. 1e3)
+
+let test_backoff_exponential () =
   Util.Backoff.exponential ~attempt:1;
-  Util.Backoff.exponential ~attempt:5;
-  Util.Backoff.yield ()
+  Util.Backoff.exponential ~attempt:5
 
 let qcheck_percentile_monotone =
   QCheck.Test.make ~name:"percentiles are monotone in p" ~count:100
@@ -272,6 +332,16 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
     [
+      ( "backoff",
+        [
+          Alcotest.test_case "first use from two domains" `Quick
+            test_backoff_first_use_race;
+          Alcotest.test_case "spins before sleeping" `Quick
+            test_backoff_spins_before_sleeping;
+          Alcotest.test_case "long wait sleeps" `Quick
+            test_backoff_long_wait_sleeps;
+          Alcotest.test_case "exponential" `Quick test_backoff_exponential;
+        ] );
       ( "sprng",
         [
           Alcotest.test_case "deterministic" `Quick test_sprng_deterministic;
@@ -328,5 +398,4 @@ let () =
           Alcotest.test_case "concurrent force" `Quick
             test_once_concurrent_force;
         ] );
-      ("backoff", [ Alcotest.test_case "runs" `Quick test_backoff_runs ]);
     ]
