@@ -6,7 +6,8 @@
    does it scale?".  The [rwl_sf/] and [stm/] rows price the rungs below
    a structure operation: one read-lock acquire, one transactional
    read; the [dbx/] rows split a YCSB transaction into generating it and
-   executing it.  Each row prints minor-heap words and nanoseconds per
+   executing it; [wal/] prices one durable commit's log append and
+   acknowledgement.  Each row prints minor-heap words and nanoseconds per
    operation. *)
 
 open Bechamel
@@ -29,6 +30,29 @@ let prefill put n =
   done
 
 let counter = ref 0
+
+module Wal = Twoplsf_wal.Wal
+
+(* A log in a fresh temp directory, removed at exit.  [Sync_none]: the
+   row prices the append, flush and acknowledgement path, not the
+   device; the 1 MB checkpoint threshold bounds the directory. *)
+let temp_wal () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "twoplsf_bechamel_wal_%d" (Unix.getpid ()))
+  in
+  let table = Dbx.Table.create ~num_rows:64 in
+  let w =
+    Wal.create
+      (Wal.config ~sync:Wal.Sync_none ~ckpt_every_bytes:(1 lsl 20) ~dir ())
+      (Dbx.Cc_2plsf.wal_store table)
+  in
+  at_exit (fun () ->
+      Wal.stop w;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir);
+  w
 
 let next_key range =
   counter := (!counter + 7919) land max_int;
@@ -75,6 +99,8 @@ let tests () =
   let fresh_locks = Twoplsf.Rwl_sf.create ~num_locks:1024 () in
   let fresh_ctx = Twoplsf.Rwl_sf.make_ctx ~tid in
   let tvs = Array.init 64 (fun i -> Twoplsf.Stm.tvar i) in
+  let wal = temp_wal () in
+  let wal_rid i = i * 8 in
   [
     Test.make ~name:"rwl_sf/read acquire held lock"
       (Staged.stage (fun () ->
@@ -127,6 +153,13 @@ let tests () =
       (Staged.stage (fun () ->
            txn_i := (!txn_i + 1) land 63;
            ignore (Dbx.Cc_2plsf.execute cc ~tid txns.(!txn_i))));
+    Test.make ~name:"wal/commit+ack 8 writes"
+      (Staged.stage (fun () ->
+           for i = 0 to 7 do
+             Wal.mark_dirty wal ~rid:(wal_rid i)
+           done;
+           let lsn = Wal.log_commit wal ~tid ~n:8 ~rid:wal_rid in
+           Wal.wait_durable wal ~lsn));
   ]
 
 let run () =

@@ -28,8 +28,9 @@ module Record = Twoplsf_wal.Record
 let init_balance = 1_000
 
 (* One cycle per site, round-robin, so a full run exercises every WAL
-   crash point: the append and fsync paths inside the writer domain,
-   both checkpoint windows, and the three commit-window positions
+   crash point: the append inside the commit window, the fsync and both
+   checkpoint windows (run by whichever committer leads the flush, so
+   the kill lands on a worker), and the three commit-window positions
    (before the log append, between append and lock release, and after
    release but before the durability wait). *)
 let kill_sites =

@@ -57,11 +57,14 @@ module Site : sig
             am-I-wounded check *)
     | Wal_append
         (** inside the WAL commit record build/publish, LSN drawn but
-            record possibly not yet visible to the log writer *)
-    | Wal_fsync  (** log-writer domain, immediately before fsync *)
+            record possibly not yet visible to the flush leader *)
+    | Wal_fsync
+        (** the flush leader (a committing worker), immediately before
+            fsync *)
     | Wal_checkpoint
-        (** checkpoint writer, between image write and the atomic
-            rename (a kill here leaves only the old checkpoint) *)
+        (** the checkpointing leader, at checkpoint start and between
+            image write and the atomic rename (a kill there leaves only
+            the old checkpoint) *)
     | Commit_durable_pre
         (** commit window: write-locks held, before the WAL append *)
     | Commit_durable_mid

@@ -1,6 +1,9 @@
 (* Single-producer/single-consumer ring of encoded commit records,
    one per worker thread (DESIGN.md §15).  The producer is the worker
-   inside its commit window; the consumer is the log-writer domain.
+   inside its commit window; the consumer is whichever domain holds the
+   WAL's leader flag.  Only one domain holds it at a time, and the
+   flag's CAS and releasing store order one consumer's accesses before
+   the next one's, so the ring still sees a single consumer.
 
    Publication protocol: the producer fills the cell's plain fields,
    then releases them with an atomic store of [tail].  The consumer
@@ -33,23 +36,20 @@ let create ~capacity =
 
 let capacity t = t.mask + 1
 
-(* Producer side.  Spins while full: the consumer is a dedicated domain
-   that drains unconditionally, so the wait is bounded by one batch. *)
-let push t ~lsn buf =
+(* Producer side.  Never waits: nothing drains the ring in the
+   background, so the caller decides what to do when it is full. *)
+let try_push t ~lsn buf =
   let tail = Atomic.get t.tail in
-  while Atomic.get t.head + t.mask + 1 <= tail do
-    Domain.cpu_relax ()
-  done;
-  let c = t.cells.(tail land t.mask) in
-  c.c_lsn <- lsn;
-  c.c_buf <- buf;
-  Atomic.set t.tail (tail + 1)
+  if Atomic.get t.head + t.mask + 1 <= tail then false
+  else begin
+    let c = t.cells.(tail land t.mask) in
+    c.c_lsn <- lsn;
+    c.c_buf <- buf;
+    Atomic.set t.tail (tail + 1);
+    true
+  end
 
 (* Consumer side. *)
-
-let peek_lsn t =
-  let head = Atomic.get t.head in
-  if Atomic.get t.tail = head then -1 else t.cells.(head land t.mask).c_lsn
 
 let pop t =
   let head = Atomic.get t.head in

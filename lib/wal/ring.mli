@@ -1,7 +1,8 @@
 (** SPSC ring of encoded commit records: worker (producer, inside its
-    commit window) → log-writer domain (consumer).  Plain cell fields
-    published/retired through atomic [tail]/[head] stores, per the OCaml
-    memory model. *)
+    commit window) → the WAL's current flush leader (consumer; one
+    domain at a time, handed over through the leader flag).  Plain cell
+    fields published/retired through atomic [tail]/[head] stores, per
+    the OCaml memory model. *)
 
 type t
 
@@ -10,13 +11,9 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
-val push : t -> lsn:int -> Bytes.t -> unit
-(** Producer: publish one record.  Spins while the ring is full (the
-    consumer drains unconditionally, so the wait is bounded). *)
-
-val peek_lsn : t -> int
-(** Consumer: LSN of the head record, or [-1] when empty.  Lets the
-    writer merge rings in LSN order without consuming. *)
+val try_push : t -> lsn:int -> Bytes.t -> bool
+(** Producer: publish one record, or return [false] without publishing
+    when the ring is full. *)
 
 val pop : t -> (int * Bytes.t) option
 (** Consumer: take the head record. *)

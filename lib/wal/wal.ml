@@ -12,17 +12,25 @@
      consistent with the per-row serialization order — the property
      that makes redo-by-ascending-LSN reconstruct a serializable state.
 
-   - A dedicated log-writer domain merges the rings into a reorder
-     buffer (min-heap on LSN) and flushes only the *contiguous* LSN
-     prefix: one write and one fsync per batch (group commit).
+   - Leader/follower group commit (PostgreSQL's XLogFlush, Aether): a
+     worker in [wait_durable] that takes the [leader] flag with one CAS
+     merges the rings into a reorder buffer (min-heap on LSN) and
+     flushes only the *contiguous* LSN prefix itself: one write and one
+     fsync per batch, covering every record published so far.  Workers
+     that find a leader active wait on [cond] and retry when it leaves,
+     so concurrent committers batch behind one fsync.  There is no log
+     thread: the flush is a plain function run on a committing worker,
+     after that worker released its locks.
      Strict LSN-ordered flushing is a correctness requirement, not an
      optimisation: if transaction B read A's write, B's record must not
      reach disk while A's is lost, or the recovered image exposes a
      read from a transaction that never happened.  Flushing the gap-free
-     prefix makes [flushed >= my_lsn] a sound durability ack.  A gap can
-     only stall the writer briefly — draw-to-publish is a handful of
-     instructions inside the commit window, interruptible only by
-     process death (which is the crash being simulated).
+     prefix makes [flushed >= my_lsn] a sound durability ack.  A gap
+     (an LSN drawn but not yet published) only delays the leader
+     briefly — draw-to-publish is a handful of instructions inside the
+     commit window, interruptible only by process death (which is the
+     crash being simulated) — and the leader waits it out with the flag
+     released.
 
    - Fuzzy checkpoints use a per-row seqlock: [marks.(rid)] is a
      monotone counter, odd while the row has an uncommitted in-place
@@ -39,10 +47,9 @@
    fsyncgate semantics — poisons the log: [failed] is set, the
    durability watermark freezes, every blocked [wait_durable] and
    [checkpoint] waiter is woken to raise [Degraded], and new
-   [log_commit] calls refuse immediately.  The writer keeps draining
-   rings (discarding records — they can never be acked) so workers
-   never block against a full ring, then exits on [stop].  Nothing is
-   ever acked that did not survive an fsync.
+   [log_commit] calls refuse immediately.  Records drained after the
+   poison are discarded (they can never be acked).  Nothing is ever
+   acked that did not survive an fsync.
 
    What is durable: effects of transactions whose [wait_durable]
    returned.  What is not: transactions still in rings or unflushed
@@ -57,14 +64,18 @@ type sync_mode = Sync_fsync | Sync_none
 type config = {
   dir : string;
   sync : sync_mode;
-  ring_cap : int;
   ckpt_every_bytes : int;  (* 0 = manual checkpoints only *)
   io : Wal_io.t;
 }
 
-let config ?(sync = Sync_fsync) ?(ring_cap = 256) ?(ckpt_every_bytes = 0)
-    ?(io = Wal_io.passthrough) ~dir () =
-  { dir; sync; ring_cap; ckpt_every_bytes; io }
+let config ?(sync = Sync_fsync) ?(ckpt_every_bytes = 0) ?(io = Wal_io.passthrough)
+    ~dir () =
+  { dir; sync; ckpt_every_bytes; io }
+
+(* Records per worker ring.  [Cc_2plsf] waits for durability after every
+   commit, so a ring holds at most one record there; a caller that logs
+   ahead of its waits drains the rings itself when one fills. *)
+let ring_capacity = 256
 
 type store = {
   table_id : int;
@@ -75,37 +86,6 @@ type store = {
 }
 
 exception Degraded of string
-
-type t = {
-  cfg : config;
-  store : store;
-  next_lsn : int Atomic.t;
-  marks : int Atomic.t array;  (* per-row seqlock counters *)
-  row_lsn : int array;  (* committed LSN per row; written in the odd window *)
-  rings : Ring.t array;  (* one per worker tid *)
-  flushed : int Atomic.t;  (* highest LSN durable on disk *)
-  failed : string option Atomic.t;  (* poison: permanent log-device failure *)
-  mu : Mutex.t;
-  cond : Condition.t;
-  stopping : bool Atomic.t;
-  ckpt_req : bool Atomic.t;
-  mutable ckpt_done : int;  (* completed checkpoints; guarded by [mu] *)
-  mutable writer : unit Domain.t option;
-  (* Writer-domain-owned state below (no concurrent access). *)
-  mutable fd : Wal_io.file;
-  mutable seg_seq : int;
-  mutable seg_bytes : int;
-  mutable bytes_since_ckpt : int;
-  (* Metrics, exported as twoplsf_wal_* families. *)
-  m_records : int Atomic.t;
-  m_batches : int Atomic.t;
-  m_fsyncs : int Atomic.t;
-  m_bytes : int Atomic.t;
-  m_checkpoints : int Atomic.t;
-  m_ckpt_lsn : int Atomic.t;
-  m_io_retries : int Atomic.t;
-  m_fsync_failures : int Atomic.t;
-}
 
 (* ------------------------------------------------------------------ *)
 (* File layout helpers                                                *)
@@ -187,7 +167,7 @@ let read_image_info ?(io = Wal_io.passthrough) ~dir () =
   | buf -> Some (check_image buf)
 
 (* ------------------------------------------------------------------ *)
-(* Reorder buffer: min-heap on LSN, writer-domain local                *)
+(* Reorder buffer: min-heap on LSN, leader-owned                      *)
 
 module Heap = struct
   type h = { mutable lsns : int array; mutable bufs : Bytes.t array; mutable len : int }
@@ -252,15 +232,51 @@ module Heap = struct
     h.len <- 0
 end
 
+type t = {
+  cfg : config;
+  store : store;
+  next_lsn : int Atomic.t;
+  marks : int Atomic.t array;  (* per-row seqlock counters *)
+  row_lsn : int array;  (* committed LSN per row; written in the odd window *)
+  rings : Ring.t array;  (* one per worker tid *)
+  flushed : int Atomic.t;  (* highest LSN durable on disk *)
+  failed : string option Atomic.t;  (* poison: permanent log-device failure *)
+  mu : Mutex.t;
+  cond : Condition.t;  (* [flushed], [failed] or [leader] changed; under [mu] *)
+  leader : bool Atomic.t;
+  (* Leader-owned state below: only the domain that set [leader] from
+     false to true touches it, until it stores false again.  The CAS and
+     the releasing store order one leader's accesses before the next's. *)
+  heap : Heap.h;
+  mutable batch : Bytes.t;
+  (* The checkpoint image, reused: a table-sized buffer per checkpoint
+     would be garbage the major GC reclaims late. *)
+  mutable image : Bytes.t;
+  mutable fd : Wal_io.file;
+  mutable seg_seq : int;
+  mutable seg_bytes : int;
+  mutable bytes_since_ckpt : int;
+  mutable stopped : bool;
+  (* Metrics, exported as twoplsf_wal_* families. *)
+  m_records : int Atomic.t;
+  m_batches : int Atomic.t;
+  m_fsyncs : int Atomic.t;
+  m_bytes : int Atomic.t;
+  m_checkpoints : int Atomic.t;
+  m_ckpt_lsn : int Atomic.t;
+  m_io_retries : int Atomic.t;
+  m_fsync_failures : int Atomic.t;
+}
+
 (* ------------------------------------------------------------------ *)
 (* Failure handling                                                   *)
 
-let poison t reason =
-  if Atomic.compare_and_set t.failed None (Some reason) then begin
-    Mutex.lock t.mu;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mu
-  end
+let broadcast t =
+  Mutex.lock t.mu;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mu
+
+let poison t reason = if Atomic.compare_and_set t.failed None (Some reason) then broadcast t
 
 let degraded t = Atomic.get t.failed
 
@@ -276,7 +292,7 @@ let transient_exn = function Wal_io.Io_error e -> e.transient | _ -> false
 let max_retries = 5
 let backoff attempt = Unix.sleepf (0.0005 *. float (1 lsl min attempt 4))
 
-(* Run a writer-domain io thunk with capped-backoff retries on transient
+(* Run a leader io thunk with capped-backoff retries on transient
    failures.  Permanent failures and an exhausted budget propagate. *)
 let retrying t f =
   let rec go attempt =
@@ -318,6 +334,57 @@ let guarded_fsync_dir t ~what =
       false
 
 (* ------------------------------------------------------------------ *)
+(* The leader flag                                                    *)
+
+let try_lead t = Atomic.compare_and_set t.leader false true
+
+(* Hand the flag back and wake every waiter: followers blocked on an
+   active leader retry, and one of them may take over. *)
+let release t =
+  Atomic.set t.leader false;
+  broadcast t
+
+(* Block until this domain holds the flag. *)
+let rec acquire t =
+  if not (try_lead t) then begin
+    Mutex.lock t.mu;
+    while Atomic.get t.leader do
+      Condition.wait t.cond t.mu
+    done;
+    Mutex.unlock t.mu;
+    acquire t
+  end
+
+(* Run [f t] as leader (the flag is held) and always release the flag.
+   Io failures poison inside [f]; anything else escaping it poisons
+   too, so followers raise [Degraded] rather than waiting on a log
+   nobody can flush. *)
+let lead t f =
+  if t.stopped then begin
+    release t;
+    invalid_arg "Wal: log used after stop"
+  end;
+  (match f t with
+  | () -> ()
+  | exception e -> poison t (Printf.sprintf "log leader died: %s" (describe_exn e)));
+  release t
+
+(* Move every published record into the reorder buffer.  On a poisoned
+   log they are discarded instead: they can never be acked. *)
+let drain_rings t =
+  for i = 0 to Array.length t.rings - 1 do
+    let continue = ref true in
+    while !continue do
+      match Ring.pop t.rings.(i) with
+      | Some (lsn, buf) -> Heap.add t.heap lsn buf
+      | None -> continue := false
+    done
+  done;
+  if Atomic.get t.failed <> None then Heap.clear t.heap
+
+let rings_empty t = Array.for_all Ring.is_empty t.rings
+
+(* ------------------------------------------------------------------ *)
 (* Commit-window API (caller holds the row's write locks)             *)
 
 let mark_dirty t ~rid =
@@ -327,6 +394,16 @@ let mark_dirty t ~rid =
 let mark_undo t ~rid =
   let m = Atomic.get t.marks.(rid) in
   if m land 1 = 1 then Atomic.set t.marks.(rid) (m + 1)
+
+(* The worker's ring is full.  Nothing drains it in the background, so
+   take the flag and move the rings into the reorder buffer — no fsync
+   is needed to free slots, and none may run here: the caller holds its
+   write locks. *)
+let push_full t ring ~lsn buf =
+  let bo = Util.Backoff.create () in
+  while not (Ring.try_push ring ~lsn buf) do
+    if try_lead t then lead t drain_rings else Util.Backoff.once bo
+  done
 
 let log_commit t ~tid ~n ~rid =
   (* Refuse before mutating anything: the caller still holds its locks
@@ -355,62 +432,45 @@ let log_commit t ~tid ~n ~rid =
   (* LSN drawn but not yet published: a kill here leaves a gap that
      recovery never sees (nothing after it can be contiguous-flushed). *)
   if !Chaos.on then Chaos.point Chaos.Wal_append;
-  Ring.push t.rings.(tid) ~lsn buf;
+  let ring = t.rings.(tid) in
+  if not (Ring.try_push ring ~lsn buf) then push_full t ring ~lsn buf;
   Atomic.incr t.m_records;
   lsn
 
 let flushed_lsn t = Atomic.get t.flushed
 
-let wait_durable t ~lsn =
-  if Atomic.get t.flushed < lsn then begin
-    Mutex.lock t.mu;
-    while Atomic.get t.flushed < lsn && Atomic.get t.failed = None do
-      Condition.wait t.cond t.mu
-    done;
-    Mutex.unlock t.mu;
-    if Atomic.get t.flushed < lsn then
-      match Atomic.get t.failed with
-      | Some reason -> raise (Degraded reason)
-      | None -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Log-writer domain                                                  *)
+(* Leader work: flush and checkpoint                                  *)
 
 let open_segment io dir seq = io.Wal_io.io_create (seg_path dir seq)
 
-let drain_rings t heap =
-  let n = ref 0 in
-  Array.iter
-    (fun ring ->
-      let continue = ref true in
-      while !continue do
-        match Ring.pop ring with
-        | Some (lsn, buf) ->
-            Heap.add heap lsn buf;
-            incr n
-        | None -> continue := false
-      done)
-    t.rings;
-  !n
-
-let rings_empty t = Array.for_all Ring.is_empty t.rings
+(* Copy the contiguous LSN prefix of the reorder buffer into [batch];
+   returns its length and the last LSN it holds. *)
+let take_prefix t =
+  let expected = ref (Atomic.get t.flushed + 1) in
+  let len = ref 0 in
+  while Heap.min_lsn t.heap = !expected do
+    let r = Heap.pop_min t.heap in
+    let n = Bytes.length r in
+    if !len + n > Bytes.length t.batch then begin
+      let b = Bytes.create (max (!len + n) (2 * Bytes.length t.batch)) in
+      Bytes.blit t.batch 0 b 0 !len;
+      t.batch <- b
+    end;
+    Bytes.blit r 0 t.batch !len n;
+    len := !len + n;
+    incr expected
+  done;
+  (!len, !expected - 1)
 
 (* Flush the contiguous LSN prefix of the reorder buffer: one write,
    one fsync, one broadcast.  Returns true if anything was flushed;
    false also covers "the log just got poisoned". *)
-let flush_batch t heap batch =
-  Buffer.clear batch;
-  let expected = ref (Atomic.get t.flushed + 1) in
-  while Heap.min_lsn heap = !expected do
-    Buffer.add_bytes batch (Heap.pop_min heap);
-    incr expected
-  done;
-  if Buffer.length batch = 0 then false
+let flush_batch t =
+  let len, last = take_prefix t in
+  if len = 0 then false
   else begin
-    let s = Buffer.contents batch in
-    let b = Bytes.unsafe_of_string s in
-    let len = Bytes.length b in
+    let b = t.batch in
     let pos = ref 0 in
     (* Resume from [pos] across transient-retry rounds: the injector
        and Unix both fail without a partial transfer, so no byte is
@@ -441,7 +501,7 @@ let flush_batch t heap batch =
         Atomic.incr t.m_batches;
         ignore (Atomic.fetch_and_add t.m_bytes len);
         Mutex.lock t.mu;
-        Atomic.set t.flushed (!expected - 1);
+        Atomic.set t.flushed last;
         Condition.broadcast t.cond;
         Mutex.unlock t.mu;
         true
@@ -451,7 +511,7 @@ let flush_batch t heap batch =
 
 exception Bail
 
-(* Fuzzy checkpoint, run on the writer domain.
+(* Fuzzy checkpoint, run by the leader.
 
    1. Pin [start_lsn := next_lsn] and flush everything below it.  Every
       record in the current segments now has lsn < start_lsn (flushed
@@ -466,22 +526,24 @@ exception Bail
       and are provably reflected in the image (with per-row LSNs that
       make replaying any surviving duplicate a no-op).
 
+   Waits (a gap below [start_lsn], a row mid-write) drain the rings, so
+   a committer whose ring filled is never stuck behind the leader.
+
    Any I/O failure along the way poisons the log and abandons the
    checkpoint; the previous image and segments stay authoritative (the
    tmp file and a fresh empty segment are the only possible litter, and
    recovery discards both). *)
-let do_checkpoint t heap batch =
+let do_checkpoint t =
   if !Chaos.on then Chaos.point Chaos.Wal_checkpoint;
   let io = t.cfg.io in
   let st = t.store in
   let start_lsn = Atomic.get t.next_lsn in
-  let ok = ref true in
-  while !ok && Atomic.get t.flushed < start_lsn - 1 do
-    ignore (drain_rings t heap);
-    if Atomic.get t.failed <> None then ok := false
-    else if not (flush_batch t heap batch) then Domain.cpu_relax ()
+  let bo = Util.Backoff.create () in
+  while Atomic.get t.failed = None && Atomic.get t.flushed < start_lsn - 1 do
+    drain_rings t;
+    if not (flush_batch t) then Util.Backoff.once bo
   done;
-  if !ok && Atomic.get t.failed = None then begin
+  if Atomic.get t.failed = None then begin
     let require b = if not b then raise Bail in
     try
       (match t.cfg.sync with
@@ -493,7 +555,8 @@ let do_checkpoint t heap batch =
       t.fd <- retrying t (fun () -> open_segment io t.cfg.dir t.seg_seq);
       t.seg_bytes <- 0;
       require (guarded_fsync_dir t ~what:"checkpoint rotate dir fsync");
-      let img = Bytes.create (image_size st) in
+      if Bytes.length t.image <> image_size st then t.image <- Bytes.create (image_size st);
+      let img = t.image in
       Bytes.blit_string image_magic 0 img 0 8;
       set_u32 img 8 image_version;
       set_u32 img 12 st.table_id;
@@ -502,19 +565,21 @@ let do_checkpoint t heap batch =
       set_i64 img 24 start_lsn;
       for rid = 0 to st.num_rows - 1 do
         let off = image_row_off st rid in
-        let rec copy () =
+        let rec copy bo =
           let m1 = Atomic.get t.marks.(rid) in
           if m1 land 1 = 1 then begin
-            Domain.cpu_relax ();
-            copy ()
+            let bo = match bo with Some b -> b | None -> Util.Backoff.create () in
+            drain_rings t;
+            Util.Backoff.once bo;
+            copy (Some bo)
           end
           else begin
             let lsn = t.row_lsn.(rid) in
             Bytes.blit (st.read_row rid) 0 img (off + 8) st.row_len;
-            if Atomic.get t.marks.(rid) <> m1 then copy () else set_i64 img off lsn
+            if Atomic.get t.marks.(rid) <> m1 then copy bo else set_i64 img off lsn
           end
         in
-        copy ()
+        copy None
       done;
       set_i64 img 32 (Atomic.get t.next_lsn - 1);
       let crc = Util.Crc32.bytes ~len:(Bytes.length img - 4) img in
@@ -554,66 +619,51 @@ let do_checkpoint t heap batch =
       done;
       t.bytes_since_ckpt <- 0;
       Atomic.incr t.m_checkpoints;
-      Atomic.set t.m_ckpt_lsn (start_lsn - 1);
-      Mutex.lock t.mu;
-      t.ckpt_done <- t.ckpt_done + 1;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mu
+      Atomic.set t.m_ckpt_lsn (start_lsn - 1)
     with
     | Bail -> ()
     | (Wal_io.Io_error _ | Unix.Unix_error _) as e ->
         poison t (Printf.sprintf "checkpoint: %s" (describe_exn e))
   end
 
-let writer_loop t =
-  let heap = Heap.create () in
-  let batch = Buffer.create 65536 in
-  let idle = ref 0 in
-  let running = ref true in
-  (try
-     while !running do
-       ignore (drain_rings t heap);
-       if Atomic.get t.failed <> None then begin
-         (* Poisoned: keep draining so no worker ever blocks on a full
-            ring, discard the records (they can never be acked), ignore
-            checkpoint requests (their waiters raise [Degraded]). *)
-         Heap.clear heap;
-         ignore (Atomic.compare_and_set t.ckpt_req true false);
-         if Atomic.get t.stopping then running := false else Unix.sleepf 0.0002
-       end
-       else begin
-         let progressed = flush_batch t heap batch in
-         if Atomic.compare_and_set t.ckpt_req true false then do_checkpoint t heap batch
-         else if
-           t.cfg.ckpt_every_bytes > 0 && t.bytes_since_ckpt >= t.cfg.ckpt_every_bytes
-         then do_checkpoint t heap batch;
-         if progressed then idle := 0
-         else if Atomic.get t.stopping && Heap.is_empty heap && rings_empty t then
-           running := false
-         else begin
-           (* Idle backoff: spin briefly (latency), then yield, then sleep
-              (CPU) — commit acks tolerate ~100 µs of writer doze. *)
-           incr idle;
-           if !idle < 64 then Domain.cpu_relax ()
-           else if !idle < 128 then Thread.yield ()
-           else Unix.sleepf 0.0001
-         end
-       end
-     done;
-     (* Final fsync.  A failure here used to be swallowed — the classic
-        fsyncgate lie, since [stop] then looked like a clean shutdown.
-        Now it poisons the watermark like any other fsync failure. *)
-     if Atomic.get t.failed = None then
-       match t.cfg.sync with
-       | Sync_fsync ->
-           if guarded_fsync t t.fd ~what:"final fsync" then Atomic.incr t.m_fsyncs
-       | Sync_none -> ()
-   with e ->
-     (* Nothing may escape the domain: [stop]'s join must not re-raise,
-        and waiters need the poison broadcast to wake up. *)
-     poison t (Printf.sprintf "log writer died: %s" (describe_exn e)));
-  (try t.fd.Wal_io.f_close () with _ -> ());
-  Util.Tid.release ()
+(* One leader turn of [wait_durable]: flush what is contiguous, then
+   the auto-checkpoint if one is due. *)
+let flush_turn t =
+  drain_rings t;
+  if Atomic.get t.failed = None then begin
+    ignore (flush_batch t);
+    if t.cfg.ckpt_every_bytes > 0 && t.bytes_since_ckpt >= t.cfg.ckpt_every_bytes then
+      do_checkpoint t
+  end
+
+(* [bo] paces retries behind a gap; created on the first one only. *)
+let rec await t lsn bo =
+  if Atomic.get t.flushed < lsn then
+    match Atomic.get t.failed with
+    | Some reason -> raise (Degraded reason)
+    | None ->
+        if try_lead t then begin
+          lead t flush_turn;
+          if Atomic.get t.flushed < lsn && Atomic.get t.failed = None then begin
+            (* An LSN below ours is drawn but not yet published. *)
+            let bo = match bo with Some b -> b | None -> Util.Backoff.create () in
+            Util.Backoff.once bo;
+            await t lsn (Some bo)
+          end
+          else await t lsn bo
+        end
+        else begin
+          Mutex.lock t.mu;
+          while
+            Atomic.get t.flushed < lsn && Atomic.get t.failed = None && Atomic.get t.leader
+          do
+            Condition.wait t.cond t.mu
+          done;
+          Mutex.unlock t.mu;
+          await t lsn bo
+        end
+
+let wait_durable t ~lsn = await t lsn None
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                          *)
@@ -634,19 +684,20 @@ let create ?(next_lsn = 1) cfg store =
       next_lsn = Atomic.make next_lsn;
       marks = Array.init store.num_rows (fun _ -> Atomic.make 0);
       row_lsn = Array.make store.num_rows 0;
-      rings = Array.init Util.Tid.max_threads (fun _ -> Ring.create ~capacity:cfg.ring_cap);
+      rings = Array.init Util.Tid.max_threads (fun _ -> Ring.create ~capacity:ring_capacity);
       flushed = Atomic.make (next_lsn - 1);
       failed = Atomic.make None;
       mu = Mutex.create ();
       cond = Condition.create ();
-      stopping = Atomic.make false;
-      ckpt_req = Atomic.make false;
-      ckpt_done = 0;
-      writer = None;
+      leader = Atomic.make false;
+      heap = Heap.create ();
+      batch = Bytes.create 65536;
+      image = Bytes.empty;
       fd = open_segment io cfg.dir seg_seq;
       seg_seq;
       seg_bytes = 0;
       bytes_since_ckpt = 0;
+      stopped = false;
       m_records = Atomic.make 0;
       m_batches = Atomic.make 0;
       m_fsyncs = Atomic.make 0;
@@ -661,26 +712,39 @@ let create ?(next_lsn = 1) cfg store =
      is logged into it; a failure propagates to the caller (the log
      never opened). *)
   io.Wal_io.io_fsync_dir cfg.dir;
-  t.writer <- Some (Domain.spawn (fun () -> writer_loop t));
   t
 
 let checkpoint t =
   (match Atomic.get t.failed with Some r -> raise (Degraded r) | None -> ());
-  Mutex.lock t.mu;
-  let before = t.ckpt_done in
-  Atomic.set t.ckpt_req true;
-  while t.ckpt_done = before && Atomic.get t.failed = None do
-    Condition.wait t.cond t.mu
-  done;
-  let completed = t.ckpt_done <> before in
-  Mutex.unlock t.mu;
-  if not completed then
-    match Atomic.get t.failed with Some r -> raise (Degraded r) | None -> ()
+  acquire t;
+  lead t do_checkpoint;
+  match Atomic.get t.failed with Some r -> raise (Degraded r) | None -> ()
+
+(* [stop]'s leader turn: flush everything published, final fsync, close
+   the segment. *)
+let shutdown t =
+  t.stopped <- true;
+  Fun.protect
+    ~finally:(fun () -> try t.fd.Wal_io.f_close () with _ -> ())
+    (fun () ->
+      let bo = Util.Backoff.create () in
+      drain_rings t;
+      while Atomic.get t.failed = None && not (Heap.is_empty t.heap && rings_empty t) do
+        if not (flush_batch t) then Util.Backoff.once bo;
+        drain_rings t
+      done;
+      (* A failed final fsync poisons the watermark like any other:
+         swallowing it would make [stop] look like a clean shutdown
+         (the fsyncgate lie). *)
+      if Atomic.get t.failed = None then
+        match t.cfg.sync with
+        | Sync_fsync ->
+            if guarded_fsync t t.fd ~what:"final fsync" then Atomic.incr t.m_fsyncs
+        | Sync_none -> ())
 
 let stop t =
-  Atomic.set t.stopping true;
-  (match t.writer with Some d -> Domain.join d | None -> ());
-  t.writer <- None
+  acquire t;
+  if t.stopped then release t else lead t shutdown
 
 let metrics t =
   [

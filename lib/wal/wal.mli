@@ -3,11 +3,14 @@
 
     Workers append CRC-sealed, LSN-stamped commit records from inside
     the 2PLSF commit window (all write-locks held, so LSN order agrees
-    with per-row serialization order); a dedicated log-writer domain
-    merges per-worker rings and flushes the contiguous LSN prefix with
-    coalesced fsyncs.  [flushed_lsn >= my_lsn] is therefore a sound
-    durability acknowledgement: nothing with a smaller LSN can be
-    missing from the log.
+    with per-row serialization order) to per-worker rings.  There is no
+    log thread: a committer in {!wait_durable} that finds no flush in
+    progress becomes the leader, merges the rings and flushes the
+    contiguous LSN prefix itself (one write, one fsync), while
+    concurrent committers wait and are acknowledged by that same fsync
+    (leader/follower group commit).  [flushed_lsn >= my_lsn] is
+    therefore a sound durability acknowledgement: nothing with a
+    smaller LSN can be missing from the log.
 
     Durability contract: a transaction is durable iff {!wait_durable}
     returned for its LSN.  Transactions still buffered at a crash were
@@ -29,19 +32,21 @@ type sync_mode =
 type config = {
   dir : string;
   sync : sync_mode;
-  ring_cap : int;  (** per-worker ring capacity (rounded up to 2^k) *)
   ckpt_every_bytes : int;  (** auto-checkpoint threshold; 0 = manual only *)
   io : Wal_io.t;  (** the storage stack; {!Wal_io.passthrough} by default *)
 }
 
 val config :
   ?sync:sync_mode ->
-  ?ring_cap:int ->
   ?ckpt_every_bytes:int ->
   ?io:Wal_io.t ->
   dir:string ->
   unit ->
   config
+
+val ring_capacity : int
+(** Records one worker's ring holds before {!log_commit} has to drain
+    the rings itself. *)
 
 (** How the WAL reads and writes the table it protects.  [read_row]
     returns the live backing bytes of a row (no copy); [write_row]
@@ -65,17 +70,21 @@ exception Degraded of string
     typed read-only reason. *)
 
 val create : ?next_lsn:int -> config -> store -> t
-(** Open the log directory (creating it if needed), start a fresh
-    segment, and spawn the log-writer domain.  After a recovery, pass
+(** Open the log directory (creating it if needed) and start a fresh
+    segment.  No thread or domain is started: all log I/O runs on the
+    callers of {!wait_durable}, {!checkpoint} and {!stop}.  After a recovery, pass
     [~next_lsn:(r.r_next_lsn)] so LSNs keep ascending.  Raises
     {!Wal_io.Io_error} / [Unix.Unix_error] if the device refuses the
     initial open — the log never starts. *)
 
 val stop : t -> unit
-(** Drain everything, final fsync, join the writer domain.  Call after
-    all workers have finished (a drawn-but-unpublished LSN would stall
-    the drain).  Never raises on a poisoned log: the failure is already
-    recorded in {!degraded} / {!metrics}. *)
+(** Flush everything published, final fsync, close the segment — on the
+    calling thread, after any flush in progress ends.  Call after all
+    workers have finished (a drawn-but-unpublished LSN would stall the
+    drain).  Never raises on a poisoned log: the failure is already
+    recorded in {!degraded} / {!metrics}.  A second call does nothing;
+    {!wait_durable} on an unflushed LSN and {!checkpoint} raise
+    [Invalid_argument] once the log is stopped. *)
 
 val degraded : t -> string option
 (** [Some reason] once the log is poisoned.  Monotone: never returns to
@@ -97,12 +106,19 @@ val log_commit : t -> tid:int -> n:int -> rid:(int -> int) -> int
     store), and publish it to worker [tid]'s ring.  Returns the LSN.
     Must run while all the transaction's write locks are held: the
     fetch-and-add under the locks is what aligns LSN order with the
-    serialization order.
+    serialization order.  Never does I/O: if the ring is full, the
+    caller moves the rings into the flush queue itself (waiting for a
+    flush in progress to let go of them first).
     @raise Degraded on a poisoned log, before any mutation. *)
 
 val wait_durable : t -> lsn:int -> unit
 (** Block until the record with [lsn] (and every record below it) is
-    flushed.  Call {e after} releasing locks — holding locks across an
+    flushed.  If no flush is in progress, the caller runs it: it writes
+    and fsyncs every record published so far that extends the flushed
+    prefix, and then runs the automatic checkpoint if
+    [ckpt_every_bytes] is due — so one call in a few returns only after
+    a whole checkpoint.  Otherwise it waits for the running flush and
+    retries.  Call {e after} releasing locks — holding locks across an
     fsync would serialize the whole commit pipeline.
     @raise Degraded if the log is poisoned before [lsn] became durable
     (returns normally if [lsn] was already flushed — durability
@@ -111,10 +127,12 @@ val wait_durable : t -> lsn:int -> unit
 val flushed_lsn : t -> int
 
 val checkpoint : t -> unit
-(** Request a fuzzy checkpoint and wait for it to complete: rotate the
-    segment, seqlock-copy every row with its committed LSN, atomically
-    install the image, delete the old segments.  Concurrent commits are
-    not blocked.  Must not be called after {!stop}.
+(** Run a fuzzy checkpoint on the calling thread, once any flush in
+    progress ends: flush, rotate the segment, seqlock-copy every row
+    with its committed LSN, atomically install the image, delete the
+    old segments.  Concurrent commits are not blocked, but their
+    durability acks are held back until it finishes (no other flush
+    runs meanwhile).  Must not be called after {!stop}.
     @raise Degraded if the log is (or becomes) poisoned. *)
 
 val metrics : t -> (string * int) list

@@ -30,7 +30,9 @@ exception
 type file = {
   f_path : string;
   f_write : Bytes.t -> pos:int -> len:int -> int;
-      (** short writes allowed: returns bytes written, >= 1 on success *)
+      (** short writes allowed: returns bytes written, >= 1 on success.
+          [b] is only borrowed: the caller reuses it after the call
+          returns, so an implementation that keeps the data copies it. *)
   f_read : Bytes.t -> pos:int -> len:int -> int;  (** 0 = EOF *)
   f_size : unit -> int;
   f_truncate : int -> unit;

@@ -35,6 +35,18 @@ let with_dir f =
 
 (* ---- CRC-32 ---- *)
 
+(* Byte-at-a-time reference: the textbook reflected CRC-32, one bit per
+   step, independent of the library's tables. *)
+let crc32_ref b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
 let test_crc32 () =
   (* the standard zlib check value *)
   check Alcotest.int "123456789" 0xCBF43926 (Crc32.string "123456789");
@@ -45,7 +57,38 @@ let test_crc32 () =
     let c = Crc32.update 0 data ~pos:0 ~len:17 in
     Crc32.update c data ~pos:17 ~len:(Bytes.length data - 17)
   in
-  check Alcotest.int "incremental = one-shot" whole split
+  check Alcotest.int "incremental = one-shot" whole split;
+  (* the 8-byte steps against the reference, for every alignment of
+     start and length *)
+  let rng = Util.Sprng.create 0xC3C3 in
+  let buf = Bytes.init 200 (fun _ -> Char.chr (Util.Sprng.int rng 256)) in
+  for pos = 0 to 15 do
+    for len = 0 to 40 do
+      let len = if len > 24 then len + 100 else len in
+      check Alcotest.int
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc32_ref buf ~pos ~len)
+        (Crc32.update 0 buf ~pos ~len)
+    done
+  done;
+  (* a split at every offset still chains *)
+  for k = 0 to 64 do
+    let c = Crc32.update 0 buf ~pos:0 ~len:k in
+    check Alcotest.int
+      (Printf.sprintf "split at %d" k)
+      (crc32_ref buf ~pos:0 ~len:96)
+      (Crc32.update c buf ~pos:k ~len:(96 - k))
+  done;
+  (* ranges outside the buffer are refused, never read *)
+  List.iter
+    (fun (pos, len) ->
+      match Crc32.update 0 (Bytes.create 4) ~pos ~len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted pos %d len %d on a 4-byte buffer" pos len)
+    [ (0, 100); (3, 2); (5, 0); (-1, 2); (0, -1) ];
+  match Crc32.bytes ~pos:5 (Bytes.create 4) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "bytes accepted pos past the end"
 
 (* ---- record codec ---- *)
 
@@ -124,11 +167,11 @@ let test_ring () =
   let r = Ring.create ~capacity:5 in
   check Alcotest.int "capacity rounded to 2^k" 8 (Ring.capacity r);
   check Alcotest.bool "fresh ring empty" true (Ring.is_empty r);
-  check Alcotest.int "peek on empty" (-1) (Ring.peek_lsn r);
   for i = 1 to 8 do
-    Ring.push r ~lsn:i (Bytes.make 4 (Char.chr i))
+    if not (Ring.try_push r ~lsn:i (Bytes.make 4 (Char.chr i))) then
+      Alcotest.failf "push %d refused below capacity" i
   done;
-  check Alcotest.int "peek sees head" 1 (Ring.peek_lsn r);
+  check Alcotest.bool "full ring refuses" false (Ring.try_push r ~lsn:9 Bytes.empty);
   for i = 1 to 8 do
     match Ring.pop r with
     | Some (lsn, b) ->
@@ -361,7 +404,7 @@ let test_manual_checkpoint_and_undo_marks () =
   | None -> Alcotest.fail "manual checkpoint wrote no image"
 
 (* multi-domain: concurrent committers through the rings and the
-   LSN-merge writer, then recovery of the merged log *)
+   LSN-merging flush leader, then recovery of the merged log *)
 let test_concurrent_commits_recover () =
   with_dir @@ fun dir ->
   let tbl = make_table () in
@@ -389,6 +432,28 @@ let test_concurrent_commits_recover () =
     (tables_equal rec1 tbl);
   check Alcotest.int "conservation under concurrency" (rows * init_balance)
     (balance_sum rec1)
+
+(* Logging ahead of the waits: one worker fills its ring twice over.
+   With no log thread, the committer whose ring is full must drain the
+   rings itself; then one wait covers every record. *)
+let test_full_ring_drains () =
+  with_dir @@ fun dir ->
+  let tbl = make_table () in
+  let w = Wal.create (quick_cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
+  let tid = Util.Tid.get () in
+  let n = 2 * Wal.ring_capacity in
+  let last = ref 0 in
+  for i = 1 to n do
+    let rid = i mod rows in
+    Wal.mark_dirty w ~rid;
+    last := Wal.log_commit w ~tid ~n:1 ~rid:(fun _ -> rid)
+  done;
+  Wal.wait_durable w ~lsn:!last;
+  check Alcotest.int "one wait acks every record" n (Wal.flushed_lsn w);
+  Wal.stop w;
+  let _, r = recover_into_fresh ~dir in
+  check Alcotest.int "every record replayed" n r.Wal.r_records;
+  check Alcotest.int "lsn watermark" n r.Wal.r_max_lsn
 
 (* ---- WAL metric families on the exporter ---- *)
 
@@ -452,6 +517,8 @@ let () =
             test_manual_checkpoint_and_undo_marks;
           Alcotest.test_case "concurrent commits recover" `Quick
             test_concurrent_commits_recover;
+          Alcotest.test_case "full ring drained by its committer" `Quick
+            test_full_ring_drains;
         ] );
       ( "observability",
         [

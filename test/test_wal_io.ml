@@ -360,6 +360,169 @@ let test_fsync_fail_then_crash () =
             r.Wal.r_max_lsn acked
   done
 
+(* ---- a leader that dies of a non-I/O exception ---- *)
+
+(* The flush runs on the committer; an exception the I/O layer does not
+   classify must still poison the log and hand the flag back, so this
+   waiter and every later one raise [Degraded] instead of hanging. *)
+let test_leader_exception_poisons () =
+  let fs = Sim_fs.create () in
+  let base = Sim_fs.io fs in
+  let io =
+    {
+      base with
+      Wal_io.io_create =
+        (fun path ->
+          let f = base.Wal_io.io_create path in
+          { f with Wal_io.f_fsync = (fun () -> failwith "firmware bug") });
+    }
+  in
+  let tbl = make_table () in
+  let w = Wal.create (Wal.config ~io ~dir:"wal" ()) (Dbx.Cc_2plsf.wal_store tbl) in
+  let tid = Util.Tid.get () in
+  let commit () =
+    Wal.mark_dirty w ~rid:0;
+    Wal.log_commit w ~tid ~n:1 ~rid:(fun _ -> 0)
+  in
+  let lsn = commit () in
+  (match Wal.wait_durable w ~lsn with
+  | exception Wal.Degraded reason ->
+      if not (String.length reason > 0) then Alcotest.fail "empty poison reason"
+  | () -> Alcotest.fail "acked a commit whose fsync raised");
+  (match Wal.degraded w with
+  | Some _ -> ()
+  | None -> Alcotest.fail "leader exception did not poison the log");
+  (match commit () with
+  | exception Wal.Degraded _ -> ()
+  | _ -> Alcotest.fail "poisoned log accepted a commit");
+  (match Wal.wait_durable w ~lsn with
+  | exception Wal.Degraded _ -> ()
+  | () -> Alcotest.fail "second waiter acked");
+  check Alcotest.int "nothing acked" 0 (Wal.flushed_lsn w);
+  (* the flag was released: checkpoint and stop both get it *)
+  (match Wal.checkpoint w with
+  | exception Wal.Degraded _ -> ()
+  | () -> Alcotest.fail "checkpoint on a poisoned log");
+  Wal.stop w
+
+(* ---- crash at every I/O step ---- *)
+
+(* [Sim_fs.io fs] with a hook run before every call, files included. *)
+let hooked_io fs ~before =
+  let base = Sim_fs.io fs in
+  let wrap_file (f : Wal_io.file) =
+    {
+      f with
+      Wal_io.f_write =
+        (fun b ~pos ~len ->
+          before "write";
+          f.f_write b ~pos ~len);
+      f_read =
+        (fun b ~pos ~len ->
+          before "read";
+          f.f_read b ~pos ~len);
+      f_size =
+        (fun () ->
+          before "size";
+          f.f_size ());
+      f_truncate =
+        (fun n ->
+          before "truncate";
+          f.f_truncate n);
+      f_fsync =
+        (fun () ->
+          before "fsync";
+          f.f_fsync ());
+      f_close =
+        (fun () ->
+          before "close";
+          f.f_close ());
+    }
+  in
+  let hook name f x =
+    before name;
+    f x
+  in
+  {
+    base with
+    Wal_io.io_mkdir = hook "mkdir" base.io_mkdir;
+    io_readdir = hook "readdir" base.io_readdir;
+    io_exists = hook "exists" base.io_exists;
+    io_create = (fun p -> wrap_file (hook "create" base.io_create p));
+    io_open_ro = (fun p -> wrap_file (hook "open_ro" base.io_open_ro p));
+    io_open_rw = (fun p -> wrap_file (hook "open_rw" base.io_open_rw p));
+    io_rename =
+      (fun a b ->
+        before "rename";
+        base.io_rename a b);
+    io_unlink = hook "unlink" base.io_unlink;
+    io_fsync_dir = hook "fsync_dir" base.io_fsync_dir;
+  }
+
+(* One seeded single-worker history, snapshotting the device before
+   every I/O call together with the durability watermark at that
+   instant.  With no log thread the I/O sequence is a pure function of
+   the seed.  Returns the op names in order, the snapshots and the
+   checkpoint count. *)
+let stepped_history ~seed =
+  let fs = Sim_fs.create () in
+  let wal = ref None in
+  let ops = ref [] and snaps = ref [] in
+  let before name =
+    ops := name :: !ops;
+    let acked = match !wal with Some w -> Wal.flushed_lsn w | None -> 0 in
+    snaps := (Sim_fs.snapshot fs, acked) :: !snaps
+  in
+  let tbl = make_table () in
+  let w =
+    Wal.create
+      (Wal.config ~io:(hooked_io fs ~before) ~ckpt_every_bytes:2048 ~dir:"wal" ())
+      (Dbx.Cc_2plsf.wal_store tbl)
+  in
+  wal := Some w;
+  let cc = Dbx.Cc_2plsf.create tbl in
+  Dbx.Cc_2plsf.set_wal cc (Some w);
+  let tid = Util.Tid.get () in
+  let rng = Util.Sprng.create seed in
+  for _ = 1 to 80 do
+    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
+    ignore
+      (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b
+         ~amount:(1 + Util.Sprng.int rng 16))
+  done;
+  Dbx.Cc_2plsf.set_wal cc None;
+  Wal.stop w;
+  let ckpts = List.assoc "checkpoints" (Wal.metrics w) in
+  (List.rev !ops, List.rev !snaps, ckpts)
+
+let test_crash_at_every_io_step () =
+  let seed = 301 in
+  let ops, snaps, ckpts = stepped_history ~seed in
+  if ckpts < 3 then Alcotest.failf "only %d checkpoints in the history" ckpts;
+  let ops', _, _ = stepped_history ~seed in
+  check Alcotest.(list string) "same seed, same I/O sequence" ops ops';
+  List.iteri
+    (fun step (snap, acked) ->
+      for m = 0 to 2 do
+        let cio = Sim_fs.io (Sim_fs.crash snap ~seed:((step * 31) + m)) in
+        let t1 = make_table () in
+        match Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t1) with
+        | exception Wal.Corrupt msg ->
+            Alcotest.failf "step %d (%s) mat %d refused: %s" step (List.nth ops step) m msg
+        | r ->
+            if balance_sum t1 <> rows * init_balance then
+              Alcotest.failf "step %d (%s) mat %d: conservation" step (List.nth ops step) m;
+            if r.Wal.r_max_lsn < acked then
+              Alcotest.failf "step %d (%s) mat %d: false ack (%d < %d)" step
+                (List.nth ops step) m r.Wal.r_max_lsn acked;
+            let t2 = make_table () in
+            ignore (Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t2));
+            if not (tables_equal t1 t2) then
+              Alcotest.failf "step %d (%s) mat %d: double replay differs" step
+                (List.nth ops step) m
+      done)
+    snaps
+
 (* ---- the headline property ---- *)
 
 (* Run a seeded history against the simulated device, snapshot the
@@ -453,6 +616,8 @@ let () =
             test_enospc_flips_readonly;
           Alcotest.test_case "fsync fail then crash" `Quick
             test_fsync_fail_then_crash;
+          Alcotest.test_case "leader exception poisons" `Quick
+            test_leader_exception_poisons;
         ] );
       ( "materializations",
         [
@@ -460,5 +625,7 @@ let () =
             test_materializations_sync_none;
           Alcotest.test_case "durable with checkpoints" `Quick
             test_materializations_durable;
+          Alcotest.test_case "crash at every I/O step" `Quick
+            test_crash_at_every_io_step;
         ] );
     ]
