@@ -1,31 +1,22 @@
-(* Crash–recovery soak (--crash-soak): repeatedly run the durable DBx
-   conserved-transfer workload in a child process, kill the child at a
-   seeded WAL chaos site (SIGKILL-equivalent: [Unix._exit] from inside
-   the instrumentation point, no cleanup, no flush), recover the log in
-   the parent and verify the three durability invariants:
+(* Crash–recovery soak (--scenario crash, DESIGN.md §15.4): repeatedly
+   run the durable conserved-transfer workload in a child process, kill
+   the child at a seeded WAL chaos site ([Unix._exit] from inside the
+   instrumentation point: no cleanup, no flush), then recover in the
+   parent through the strict recovery oracle ([Dbx.Durable.verify]; a
+   process kill cannot tear or reorder sectors, so a valid record after
+   damaged bytes is corruption here, DESIGN.md §16).
 
-   - conservation: every committed transfer moves balance between rows,
-     so any prefix-consistent recovered image sums to rows * 1000;
-   - determinism / idempotence: recovering the same log twice onto two
-     fresh tables yields byte-identical images;
-   - prefix integrity: after recovery's torn-tail truncation, every
-     surviving record carries a strictly increasing LSN in segment
-     order (group commit flushes a contiguous LSN prefix).
-
-   The child is a re-exec of this very binary (bench/main.exe) with the
-   hidden --crash-child flags — OCaml domains make [Unix.fork] unsafe,
-   and a fresh exec is exactly what a post-crash restart looks like.
+   The child re-execs this binary with the hidden --crash-child flags
+   and the shared --seed, --threads and --seconds: OCaml domains make
+   [Unix.fork] unsafe, and a fresh exec is what a restart looks like.
    The WAL directory persists across cycles (each child recovers its
-   predecessor's state before continuing), with a fresh generation
-   every 10 cycles so segment chains never grow without bound.  Exit
-   accounting mirrors --soak: the caller exits non-zero on any
-   violation. *)
+   predecessor's state first), with a fresh generation every 10 cycles
+   so segment chains stay bounded. *)
 
 module Chaos = Twoplsf_chaos.Chaos
 module Wal = Twoplsf_wal.Wal
-module Record = Twoplsf_wal.Record
 
-let init_balance = 1_000
+let rows = 64
 
 (* One cycle per site, round-robin, so a full run exercises every WAL
    crash point: the append inside the commit window, the fsync and both
@@ -43,18 +34,11 @@ let kill_sites =
     Chaos.Commit_durable_post;
   |]
 
-let make_table ~rows =
-  let tbl = Dbx.Table.create ~num_rows:rows in
-  for rid = 0 to rows - 1 do
-    Dbx.Table.set_balance tbl rid init_balance
-  done;
-  tbl
-
 (* ---- child: run the workload until killed (or until the clock runs
    out, a clean cycle) ---- *)
 
-let child ~dir ~site_code ~after ~seed ~threads ~rows ~seconds =
-  let tbl = make_table ~rows in
+let child ~dir ~site_code ~after ~seed ~threads ~seconds =
+  let tbl = Dbx.Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let next_lsn =
     if Sys.file_exists dir then (Wal.recover ~strict:true ~dir store).Wal.r_next_lsn
@@ -75,17 +59,9 @@ let child ~dir ~site_code ~after ~seed ~threads ~rows ~seconds =
   Dbx.Cc_2plsf.set_wal cc (Some w);
   Dbx.Wal_obs.register w;
   let worker i should_stop =
-    let rng = Util.Sprng.create (seed + (i * 7919) + 1) in
-    let tid = Util.Tid.get () in
-    let ops = ref 0 in
-    while not (should_stop ()) do
-      let a = Util.Sprng.int rng rows in
-      let b = Util.Sprng.int rng rows in
-      let amt = 1 + Util.Sprng.int rng 16 in
-      ignore (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b ~amount:amt);
-      incr ops
-    done;
-    !ops
+    Dbx.Durable.transfers cc ~tid:(Util.Tid.get ()) ~rows
+      (Util.Sprng.create (seed + (i * 7919) + 1))
+      ~until:(fun _ -> should_stop ())
   in
   ignore (Harness.Exec.run_timed ~threads ~seconds worker);
   (* Reached only when the armed site never fired within the budget. *)
@@ -94,79 +70,6 @@ let child ~dir ~site_code ~after ~seed ~threads ~rows ~seconds =
   Wal.stop w;
   Dbx.Wal_obs.unregister ();
   Chaos.disable ()
-
-(* ---- parent-side verification ---- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let buf = Bytes.create len in
-  really_input ic buf 0 len;
-  close_in ic;
-  buf
-
-(* Strictly increasing LSNs across the whole surviving log, in segment
-   order.  Runs after [Wal.recover] has truncated any torn tail, so a
-   decode failure here is a real violation, not a tear. *)
-let scan_monotonic ~dir =
-  let last = ref 0 and ok = ref true in
-  List.iter
-    (fun (_, path) ->
-      let data = read_file path in
-      let len = Bytes.length data in
-      let pos = ref 0 in
-      while !ok && !pos < len do
-        match Record.decode data ~pos:!pos ~avail:(len - !pos) with
-        | Ok (r, size) ->
-            if r.Record.r_lsn <= !last then ok := false;
-            last := r.Record.r_lsn;
-            pos := !pos + size
-        | Error _ ->
-            ok := false;
-            pos := len
-      done)
-    (Wal.segments ~dir ());
-  !ok
-
-type verified = {
-  recovery : Wal.recovery;
-  sum : int;
-}
-
-let verify ~dir ~rows =
-  let t1 = make_table ~rows in
-  (* ~strict: a process kill cannot tear or reorder sectors (the page
-     cache survives _exit), so a valid record after damaged bytes is
-     real corruption here, not a legal crash state — recovery must
-     refuse it rather than truncate (DESIGN.md §16). *)
-  match Wal.recover ~strict:true ~dir (Dbx.Cc_2plsf.wal_store t1) with
-  | exception Wal.Corrupt msg -> Error ("recovery refused the log: " ^ msg)
-  | recovery ->
-      let sum = ref 0 in
-      for rid = 0 to rows - 1 do
-        sum := !sum + Dbx.Table.balance t1 rid
-      done;
-      if !sum <> rows * init_balance then
-        Error
-          (Printf.sprintf "conservation violated: sum %d, expected %d" !sum
-             (rows * init_balance))
-      else begin
-        let t2 = make_table ~rows in
-        let _ = Wal.recover ~strict:true ~dir (Dbx.Cc_2plsf.wal_store t2) in
-        let idem = ref true in
-        for rid = 0 to rows - 1 do
-          if
-            not
-              (Bytes.equal
-                 (Dbx.Table.payload t1 rid)
-                 (Dbx.Table.payload t2 rid))
-          then idem := false
-        done;
-        if not !idem then Error "replay not idempotent: second recovery diverged"
-        else if not (scan_monotonic ~dir) then
-          Error "LSN order violated in surviving log"
-        else Ok { recovery; sum = !sum }
-      end
 
 (* ---- parent: cycle driver ---- *)
 
@@ -178,17 +81,16 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let spawn_child ~dir ~site ~after ~seed ~threads ~rows ~seconds ~log =
+let spawn_child ~dir ~site ~after ~seed ~threads ~seconds ~log =
   let args =
     [|
       Sys.executable_name;
       "--crash-child"; dir;
       "--crash-site"; string_of_int (Chaos.Site.code site);
       "--crash-after"; string_of_int after;
-      "--crash-seed"; string_of_int seed;
-      "--crash-threads"; string_of_int threads;
-      "--crash-rows"; string_of_int rows;
-      "--crash-seconds"; Printf.sprintf "%g" seconds;
+      "--seed"; string_of_int seed;
+      "--threads"; string_of_int threads;
+      "--seconds"; Printf.sprintf "%g" seconds;
     |]
   in
   let logfd = Unix.openfile log [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
@@ -198,7 +100,7 @@ let spawn_child ~dir ~site ~after ~seed ~threads ~rows ~seconds ~log =
   Unix.close logfd;
   snd (Unix.waitpid [] pid)
 
-let run ~cycles ~threads ~rows ~seconds ~seed ~dir =
+let run ~cycles ~threads ~seconds ~seed ~dir =
   rm_rf dir;
   let log = dir ^ ".child.log" in
   let nsites = Array.length kill_sites in
@@ -223,7 +125,7 @@ let run ~cycles ~threads ~rows ~seconds ~seed ~dir =
     in
     let status =
       spawn_child ~dir ~site ~after ~seed:(seed + (cycle * 65537)) ~threads
-        ~rows ~seconds ~log
+        ~seconds ~log
     in
     let exit_tag =
       match status with
@@ -243,9 +145,8 @@ let run ~cycles ~threads ~rows ~seconds ~seed ~dir =
           incr failures;
           Printf.sprintf "CHILD-STOPPED-%d" s
     in
-    match verify ~dir ~rows with
-    | Ok v ->
-        let r = v.recovery in
+    match Dbx.Durable.verify ~strict:true ~dir ~rows ~acked_floor:0 () with
+    | Ok { Dbx.Durable.recovery = r; _ } ->
         if r.Wal.r_torn_tail then incr torn;
         replayed := !replayed + r.Wal.r_replayed;
         records := !records + r.Wal.r_records;
@@ -262,12 +163,13 @@ let run ~cycles ~threads ~rows ~seconds ~seed ~dir =
           (if r.Wal.r_image_lsn > 0 then
              Printf.sprintf "  ckpt@%d" r.Wal.r_image_lsn
            else "")
-    | Error msg ->
+    | Error v ->
         incr failures;
         Printf.printf "  cycle %3d  %-19s after=%-4d %-14s VIOLATION: %s\n%!"
           cycle
           (Chaos.Site.name site)
-          after exit_tag msg;
+          after exit_tag
+          (Dbx.Durable.violation_to_string v);
         (* A corrupt generation would fail every subsequent cycle for
            the same root cause; start fresh so each cycle is an
            independent trial. *)

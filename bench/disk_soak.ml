@@ -1,38 +1,29 @@
-(* Disk-fault soak (--disk-soak): run the durable conserved-transfer
-   workload entirely in-process against the simulated block device
-   ([Sim_fs]) wrapped in seeded fault injection ([Wal_io.faulty]), and
+(* Disk-fault soak (--scenario disk, DESIGN.md §16.6): run the durable
+   conserved-transfer workload in-process against the simulated block
+   device ([Sim_fs]) under seeded fault injection ([Wal_io.faulty]), and
    verify that no injected storage failure — transient or permanent EIO,
    ENOSPC, short writes, failed fsyncs — ever produces a false
    durability acknowledgement or a conservation violation.
 
    The cycle matrix walks fault class x crash: every class runs once
-   without a crash (the engine either finishes cleanly or degrades to
-   read-only, and the live log must recover exactly) and once with a
-   mid-run snapshot that is then crash-materialized M ways
-   (ALICE-style: per-sector tearing and reordering of everything
-   unsynced, per-op keep/drop of pending namespace changes — see
-   [Sim_fs.crash]).  Each materialization must recover with
-
-   - conservation: recovered balances sum to rows * 1000;
-   - no false acks: the recovered max LSN covers every LSN the engine
-     acknowledged as durable before the snapshot was taken
-     ([Wal.wait_durable] returned, i.e. the fsync completed, i.e. the
-     bytes were in the device's synced state when the "power" failed);
-   - determinism: replaying the same log twice yields byte-identical
-     tables;
-   - LSN monotonicity across the surviving segments.
-
-   Permanent failures additionally must flip the engine into typed
-   read-only mode ([Stm_intf.Degraded_read_only]) with reads still
-   serving — the run asserts degradation was both observed and
-   survived at least once across the matrix. *)
+   live (the engine finishes cleanly or degrades to read-only, and the
+   live log must recover exactly) and once with a mid-run snapshot
+   crash-materialized [mats] ways ([Sim_fs.crash]: per-sector tearing
+   and reordering of everything unsynced, per-op keep/drop of pending
+   namespace changes).  Every state must pass the recovery oracle
+   ([Dbx.Durable.verify]) with the highest LSN acknowledged durable
+   before the snapshot as its no-false-ack floor.  Permanent failures
+   must also flip the engine into typed read-only mode with reads still
+   serving; the run asserts that happened at least once. *)
 
 module Wal = Twoplsf_wal.Wal
 module Wal_io = Twoplsf_wal.Wal_io
 module Sim_fs = Twoplsf_wal.Sim_fs
-module Record = Twoplsf_wal.Record
 
-let init_balance = 1_000
+let rows = 48
+
+(* Crash materializations per crash cycle. *)
+let mats = 5
 
 (* The WAL directory inside the simulated filesystem. *)
 let sim_dir = "wal"
@@ -68,82 +59,8 @@ let fault_io ~seed fault base =
   | F_short -> wrap (Wal_io.fault_config ~seed ~write_short_ppm:200_000 ())
   | F_fsync -> wrap (Wal_io.fault_config ~seed ~fsync_fail_ppm:20_000 ())
 
-let make_table ~rows =
-  let tbl = Dbx.Table.create ~num_rows:rows in
-  for rid = 0 to rows - 1 do
-    Dbx.Table.set_balance tbl rid init_balance
-  done;
-  tbl
-
-(* ---- verification against one filesystem state ---- *)
-
-(* Strictly increasing LSNs across the surviving segments, read through
-   the VFS.  Runs after [Wal.recover] has truncated any torn/suspect
-   tail, so a decode failure here is a real violation. *)
-let scan_monotonic ~io ~dir =
-  let last = ref 0 and ok = ref true in
-  List.iter
-    (fun (_, path) ->
-      let data = Wal_io.read_file io path in
-      let len = Bytes.length data in
-      let pos = ref 0 in
-      while !ok && !pos < len do
-        match Record.decode data ~pos:!pos ~avail:(len - !pos) with
-        | Ok (r, size) ->
-            if r.Record.r_lsn <= !last then ok := false;
-            last := r.Record.r_lsn;
-            pos := !pos + size
-        | Error _ ->
-            ok := false;
-            pos := len
-      done)
-    (Wal.segments ~io ~dir ());
-  !ok
-
-(* Recover [dir] through [io] onto a fresh table and check the four
-   invariants.  [acked_floor] is the highest LSN the engine acknowledged
-   as durable before this filesystem state was captured: recovering
-   anything less is a false durability ack. *)
-let verify_fs ~io ~rows ~acked_floor =
-  let t1 = make_table ~rows in
-  match Wal.recover ~io ~dir:sim_dir (Dbx.Cc_2plsf.wal_store t1) with
-  | exception Wal.Corrupt msg -> Error ("recovery refused the log: " ^ msg)
-  | exception Wal_io.Io_error { op; path; error; _ } ->
-      Error
-        (Printf.sprintf "recovery I/O failed: %s %s: %s" op path
-           (Unix.error_message error))
-  | recovery ->
-      let sum = ref 0 in
-      for rid = 0 to rows - 1 do
-        sum := !sum + Dbx.Table.balance t1 rid
-      done;
-      if !sum <> rows * init_balance then
-        Error
-          (Printf.sprintf "conservation violated: sum %d, expected %d" !sum
-             (rows * init_balance))
-      else if recovery.Wal.r_max_lsn < acked_floor then
-        Error
-          (Printf.sprintf
-             "FALSE DURABILITY ACK: recovered max LSN %d < acked LSN %d"
-             recovery.Wal.r_max_lsn acked_floor)
-      else begin
-        let t2 = make_table ~rows in
-        let _ = Wal.recover ~io ~dir:sim_dir (Dbx.Cc_2plsf.wal_store t2) in
-        let idem = ref true in
-        for rid = 0 to rows - 1 do
-          if
-            not
-              (Bytes.equal
-                 (Dbx.Table.payload t1 rid)
-                 (Dbx.Table.payload t2 rid))
-          then idem := false
-        done;
-        if not !idem then
-          Error "replay not idempotent: second recovery diverged"
-        else if not (scan_monotonic ~io ~dir:sim_dir) then
-          Error "LSN order violated in surviving log"
-        else Ok recovery
-      end
+let verify ~io ~acked_floor =
+  Dbx.Durable.verify ~io ~dir:sim_dir ~rows ~acked_floor ()
 
 (* ---- one cycle ---- *)
 
@@ -168,13 +85,13 @@ let cas_max a v =
   in
   go ()
 
-let run_cycle ~cycle ~seed ~threads ~rows ~seconds ~mats =
+let run_cycle ~cycle ~seed ~threads ~seconds =
   let fault = fault_classes.(cycle mod Array.length fault_classes) in
   let crash = cycle mod (2 * Array.length fault_classes) >= Array.length fault_classes in
   let cseed = seed + (cycle * 65537) in
   let fs = Sim_fs.create () in
   let io = fault_io ~seed:cseed fault (Sim_fs.io fs) in
-  let tbl = make_table ~rows in
+  let tbl = Dbx.Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let base =
     {
@@ -216,28 +133,24 @@ let run_cycle ~cycle ~seed ~threads ~rows ~seconds ~mats =
       let worker i should_stop =
         let rng = Util.Sprng.create (cseed + (i * 7919) + 1) in
         let tid = Util.Tid.get () in
-        let ops = ref 0 in
-        (try
-           while not (should_stop ()) do
-             if i = 0 && crash && Atomic.get commits > rows then take_snapshot ();
-             let a = Util.Sprng.int rng rows in
-             let b = Util.Sprng.int rng rows in
-             let amt = 1 + Util.Sprng.int rng 16 in
-             ignore (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b ~amount:amt);
-             Atomic.incr commits;
-             cas_max acked (Wal.flushed_lsn w);
-             incr ops
-           done
-         with Stm_intf.Degraded_read_only _ ->
-           (* The device is gone: the engine flipped read-only.  Prove
-              reads keep serving for the rest of the cycle. *)
-           Atomic.set degraded_seen true;
-           if i = 0 && crash then take_snapshot ();
-           while not (should_stop ()) do
-             ignore (Dbx.Cc_2plsf.execute cc ~tid read_txn);
-             Atomic.set readonly_served true
-           done);
-        !ops
+        let after () =
+          Atomic.incr commits;
+          cas_max acked (Wal.flushed_lsn w);
+          if i = 0 && crash && Atomic.get commits > rows then take_snapshot ()
+        in
+        try
+          Dbx.Durable.transfers ~after cc ~tid ~rows rng ~until:(fun _ ->
+              should_stop ())
+        with Stm_intf.Degraded_read_only _ ->
+          (* The device is gone: the engine flipped read-only.  Prove
+             reads keep serving for the rest of the cycle. *)
+          Atomic.set degraded_seen true;
+          if i = 0 && crash then take_snapshot ();
+          while not (should_stop ()) do
+            ignore (Dbx.Cc_2plsf.execute cc ~tid read_txn);
+            Atomic.set readonly_served true
+          done;
+          0
       in
       ignore (Harness.Exec.run_timed ~threads ~seconds worker);
       Dbx.Cc_2plsf.set_wal cc None;
@@ -246,14 +159,14 @@ let run_cycle ~cycle ~seed ~threads ~rows ~seconds ~mats =
       let violations = ref [] in
       let suspects = ref 0 in
       let note = function
-        | Ok r ->
+        | Ok { Dbx.Durable.recovery = r; _ } ->
             suspects := !suspects + r.Wal.r_suspect_records
-        | Error msg -> violations := msg :: !violations
+        | Error v -> violations := Dbx.Durable.violation_to_string v :: !violations
       in
       (* Live state: after [Wal.stop] everything acknowledged reached the
          device (or the log poisoned itself first), so the live log must
          recover cleanly with the final acked floor. *)
-      note (verify_fs ~io:(Sim_fs.io fs) ~rows ~acked_floor:(Atomic.get acked));
+      note (verify ~io:(Sim_fs.io fs) ~acked_floor:(Atomic.get acked));
       if crash then begin
         (* Crash-materialize the mid-run snapshot M ways; fall back to
            the final state when the run was too short to snapshot. *)
@@ -265,11 +178,13 @@ let run_cycle ~cycle ~seed ~threads ~rows ~seconds ~mats =
         for m = 0 to mats - 1 do
           let mseed = cseed + 0x51AB + (m * 257) in
           let crashed = Sim_fs.crash sfs ~seed:mseed in
-          match verify_fs ~io:(Sim_fs.io crashed) ~rows ~acked_floor:floor with
-          | Ok r -> suspects := !suspects + r.Wal.r_suspect_records
-          | Error msg ->
+          match verify ~io:(Sim_fs.io crashed) ~acked_floor:floor with
+          | Ok { Dbx.Durable.recovery = r; _ } ->
+              suspects := !suspects + r.Wal.r_suspect_records
+          | Error v ->
               violations :=
-                Printf.sprintf "materialization %d (seed %#x): %s" m mseed msg
+                Printf.sprintf "materialization %d (seed %#x): %s" m mseed
+                  (Dbx.Durable.violation_to_string v)
                 :: !violations
         done
       end;
@@ -284,7 +199,7 @@ let run_cycle ~cycle ~seed ~threads ~rows ~seconds ~mats =
 
 (* ---- driver ---- *)
 
-let run ~cycles ~threads ~rows ~seconds ~mats ~seed =
+let run ~cycles ~threads ~seconds ~seed =
   Printf.printf
     "disk soak: %d cycles (%d fault classes x crash/no-crash), %d threads, \
      %d rows, %.2fs/cycle, %d materializations/crash-cycle\n%!"
@@ -296,7 +211,7 @@ let run ~cycles ~threads ~rows ~seconds ~mats ~seed =
   let open_failed = ref 0 and commits = ref 0 and suspects = ref 0 in
   let crash_cycles = ref 0 in
   for cycle = 0 to cycles - 1 do
-    let o = run_cycle ~cycle ~seed ~threads ~rows ~seconds ~mats in
+    let o = run_cycle ~cycle ~seed ~threads ~seconds in
     if o.o_crash then incr crash_cycles;
     if o.o_degraded then incr degraded_cycles;
     if o.o_readonly_served then incr readonly_served;

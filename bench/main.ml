@@ -7,20 +7,29 @@
      dune exec bench/main.exe -- --quick      # fast smoke pass
      dune exec bench/main.exe -- --threads 1,2,4,8 --seconds 1.0 --big
 
-   This host has a single hardware core: thread sweeps measure
-   concurrency-control behaviour under OS interleaving, not parallel
-   speedup (DESIGN.md §3.1). *)
+   The robustness soaks share one set of flags (DESIGN.md §10-12, 14-16):
 
-let parse_threads s =
+     dune exec bench/main.exe -- --scenario chaos --seconds 10 --threads 4
+     dune exec bench/main.exe -- --scenario overload --seconds 5 --stms 2PLSF
+     dune exec bench/main.exe -- --scenario explore --cycles 200
+     dune exec bench/main.exe -- --scenario crash --cycles 54
+     dune exec bench/main.exe -- --scenario disk --cycles 48
+
+   Thread sweeps on a host with few cores (the reference host has 2
+   vCPUs) measure concurrency-control behaviour under OS interleaving
+   more than parallel speedup (DESIGN.md §3.1). *)
+
+let parse_list s =
   String.split_on_char ',' s
   |> List.map String.trim
   |> List.filter (fun x -> x <> "")
-  |> List.map int_of_string
+
+let parse_threads s = List.map int_of_string (parse_list s)
 
 let () =
   let figure = ref 0 in
-  let threads = ref [ 1; 2; 4 ] in
-  let seconds = ref 0.4 in
+  let threads = ref None in
+  let seconds = ref None in
   let big = ref false in
   let quick = ref false in
   let no_bechamel = ref false in
@@ -35,12 +44,12 @@ let () =
   let monitor_console = ref false in
   let chaos = ref false in
   let chaos_seed = ref 0 in
-  let soak = ref 0.0 in
-  let soak_stms = ref "" in
+  let scenario = ref "" in
+  let stms = ref [] in
+  let cycles = ref 0 in
+  let seed = ref 0 in
+  let dir = ref "wal-crash-soak" in
   let max_restarts = ref 0 in
-  let overload = ref 0.0 in
-  let overload_stms = ref "" in
-  let overload_threads = ref 0 in
   let zipf_theta = ref 0.9 in
   let deadline_ms = ref 0.0 in
   let cm_name = ref "paper" in
@@ -51,32 +60,21 @@ let () =
   let no_bench_out = ref false in
   let metrics_port = ref (-1) in
   let conflict_map = ref false in
-  let explore = ref 0 in
-  let crash_soak = ref 0 in
-  let crash_dir = ref "wal-crash-soak" in
-  let crash_rows = ref 64 in
-  let crash_threads = ref 4 in
-  let crash_seconds = ref 1.0 in
   (* Hidden flags of the re-exec'd crash-soak child. *)
   let crash_child = ref "" in
   let crash_site = ref (-1) in
   let crash_after = ref 0 in
-  let crash_seed = ref 0 in
-  let disk_soak = ref 0 in
-  let disk_rows = ref 48 in
-  let disk_threads = ref 4 in
-  let disk_seconds = ref 0.35 in
-  let disk_mats = ref 5 in
-  let disk_seed = ref 0 in
   let spec =
     [
       ("--figure", Arg.Set_int figure, "N  run only figure N (2-8, 10-12)");
       ( "--threads",
-        Arg.String (fun s -> threads := parse_threads s),
-        "LIST  comma-separated thread counts (default 1,2,4)" );
+        Arg.String (fun s -> threads := Some (parse_threads s)),
+        "LIST  comma-separated thread counts (default 1,2,4); a scenario \
+         takes the largest (default 4; overload: 2x domains)" );
       ( "--seconds",
-        Arg.Set_float seconds,
-        "S  measured seconds per data point (default 0.4)" );
+        Arg.Float (fun s -> seconds := Some s),
+        "S  seconds per data point (default 0.4), per STM (chaos and \
+         overload: required) or per cycle (crash 1.0, disk 0.35)" );
       ("--big", Arg.Set big, " paper-scale key ranges (10x larger)");
       ("--quick", Arg.Set quick, " fast smoke pass (threads 1,2; 0.15s)");
       ("--no-bechamel", Arg.Set no_bechamel, " skip the per-op suite");
@@ -116,34 +114,13 @@ let () =
       ( "--chaos-seed",
         Arg.Set_int chaos_seed,
         "N  chaos PRNG base seed (implies --chaos; default 0xC4A05)" );
-      ( "--soak",
-        Arg.Set_float soak,
-        "S  chaos soak mode: S seconds per STM of transfer workload under \
-         injection, then conservation + leaked-lock checks (implies \
-         --chaos; skips figures and bechamel)" );
-      ( "--soak-stms",
-        Arg.Set_string soak_stms,
-        "LIST  comma-separated STM names to soak (default: all)" );
       ( "--max-restarts",
         Arg.Set_int max_restarts,
         "N  raise the typed Starved error after N consecutive restarts of \
          one transaction (0 = unbounded, the default)" );
-      ( "--overload",
-        Arg.Set_float overload,
-        "S  overload mode: S seconds per STM of hot-key Zipfian transfers \
-         with more threads than cores and a periodic straggler; reports \
-         the completion-time tail (p50/p99/p999) and runs conservation + \
-         leaked-lock checks (skips figures and bechamel; turns the \
-         serial-irrevocable fallback on unless --no-fallback)" );
-      ( "--overload-stms",
-        Arg.Set_string overload_stms,
-        "LIST  comma-separated STM names for --overload (default: all)" );
-      ( "--overload-threads",
-        Arg.Set_int overload_threads,
-        "N  worker count for --overload (default: 2x recommended domains)" );
       ( "--zipf-theta",
         Arg.Set_float zipf_theta,
-        "T  Zipfian skew of the overload key distribution (default 0.9)" );
+        "T  Zipfian skew of the overload scenario's keys (default 0.9)" );
       ( "--deadline-ms",
         Arg.Set_float deadline_ms,
         "MS  per-transaction completion budget; a transaction that blows \
@@ -166,7 +143,8 @@ let () =
          Deadline_exceeded" );
       ( "--no-fallback",
         Arg.Set no_fallback,
-        " force the fallback off (overrides the --overload default)" );
+        " force the fallback off (overrides the overload scenario's \
+         default)" );
       ( "--bench-out",
         Arg.Set_string bench_out,
         "FILE  benchmark-artifact JSON path (default: first free \
@@ -183,77 +161,65 @@ let () =
         " record per-lock hotspot attribution and abort provenance \
          (DESIGN.md §13) into the benchmark artifact; render with \
          bin/conflictmap.exe (implies --telemetry)" );
-      ( "--explore",
-        Arg.Set_int explore,
-        "K  deterministic-schedule smoke: K PCT schedules per schedulable \
-         STM on the account-transfer workload (DESIGN.md §14); any checker \
-         violation fails the run" );
-      ( "--crash-soak",
-        Arg.Set_int crash_soak,
-        "N  crash-recovery soak: N cycles of durable transfer workload in \
-         a child process killed at a seeded WAL chaos site, then recover + \
-         verify conservation, replay idempotence and LSN order (DESIGN.md \
-         §15; skips figures and bechamel)" );
-      ( "--crash-dir",
-        Arg.Set_string crash_dir,
-        "DIR  WAL directory for --crash-soak (default wal-crash-soak)" );
-      ( "--crash-rows",
-        Arg.Set_int crash_rows,
-        "N  table rows for --crash-soak (default 64)" );
-      ( "--crash-threads",
-        Arg.Set_int crash_threads,
-        "N  worker domains per crash-soak child (default 4)" );
-      ( "--crash-seconds",
-        Arg.Set_float crash_seconds,
-        "S  per-cycle child time budget (default 1.0; the kill usually \
-         fires far earlier)" );
-      ( "--disk-soak",
-        Arg.Set_int disk_soak,
-        "N  storage-fault soak: N in-process cycles of the durable \
-         transfer workload on the simulated block device with seeded \
-         fault injection (EIO / ENOSPC / short writes / fsync failure, \
-         transient and permanent), crash-materializing mid-run snapshots \
-         and verifying conservation, replay determinism, LSN order and \
-         the absence of false durability acks on every one (DESIGN.md \
-         §16; skips figures and bechamel)" );
-      ( "--disk-rows",
-        Arg.Set_int disk_rows,
-        "N  table rows for --disk-soak (default 48)" );
-      ( "--disk-threads",
-        Arg.Set_int disk_threads,
-        "N  worker domains for --disk-soak (default 4)" );
-      ( "--disk-seconds",
-        Arg.Set_float disk_seconds,
-        "S  per-cycle time budget for --disk-soak (default 0.35)" );
-      ( "--disk-mats",
-        Arg.Set_int disk_mats,
-        "M  crash materializations per crash cycle (default 5)" );
-      ( "--disk-seed",
-        Arg.Set_int disk_seed,
-        "N  base seed for --disk-soak fault and crash draws (default \
-         0xD15C)" );
+      ( "--scenario",
+        Arg.Symbol
+          ([ "chaos"; "overload"; "explore"; "crash"; "disk" ], ( := ) scenario),
+        "  run one robustness scenario instead of the figures: the \
+         transfer soak under fault injection (chaos, implies --chaos; \
+         overload, Zipfian keys + straggler, fallback on), PCT schedules \
+         (explore) or WAL kill-recover-verify cycles (crash, disk); \
+         DESIGN.md §10-11, 14-16" );
+      ( "--stms",
+        Arg.String (fun s -> stms := parse_list s),
+        "LIST  comma-separated STM names for chaos and overload (default: \
+         all)" );
+      ( "--cycles",
+        Arg.Set_int cycles,
+        "N  schedules (explore) or cycles (crash, disk) to run" );
+      ( "--seed",
+        Arg.Set_int seed,
+        "N  base seed of the crash and disk scenarios (defaults 0xC4A05 \
+         and 0xD15C)" );
+      ( "--dir",
+        Arg.Set_string dir,
+        "DIR  WAL directory of the crash scenario (default wal-crash-soak)" );
       (* Internal: the crash-soak child re-exec (not for direct use). *)
       ("--crash-child", Arg.Set_string crash_child, "DIR  (internal)");
       ("--crash-site", Arg.Set_int crash_site, "CODE  (internal)");
       ("--crash-after", Arg.Set_int crash_after, "K  (internal)");
-      ("--crash-seed", Arg.Set_int crash_seed, "N  (internal)");
     ]
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     "2PLSF benchmark harness — regenerates the paper's figures";
-  if !quick then begin
-    threads := [ 1; 2 ];
-    seconds := 0.15
-  end;
+  let fig_threads =
+    if !quick then [ 1; 2 ] else Option.value !threads ~default:[ 1; 2; 4 ]
+  in
+  let fig_seconds =
+    if !quick then 0.15 else Option.value !seconds ~default:0.4
+  in
+  (* A scenario runs one worker count: the largest given, else its own
+     default; likewise its own default duration. *)
+  let scenario_threads default =
+    match !threads with Some l -> List.fold_left max 1 l | None -> default
+  in
+  let scenario_seconds default = Option.value !seconds ~default in
+  (match !scenario with
+  | ("chaos" | "overload") when !seconds = None ->
+      prerr_endline "--scenario: chaos and overload need --seconds S";
+      exit 2
+  | ("explore" | "crash" | "disk") when !cycles <= 0 ->
+      prerr_endline "--scenario: explore, crash and disk need --cycles N";
+      exit 2
+  | _ -> ());
   ignore (Util.Tid.register ());
   (* Crash-soak child: run the durable workload until the armed kill
      fires ([Unix._exit], no cleanup) and touch nothing else — no
      telemetry, watchdog or artifacts in the throwaway process. *)
   if !crash_child <> "" then begin
     Crash_soak.child ~dir:!crash_child ~site_code:!crash_site
-      ~after:!crash_after ~seed:!crash_seed ~threads:!crash_threads
-      ~rows:!crash_rows ~seconds:!crash_seconds;
+      ~after:!crash_after ~seed:!seed ~threads:(scenario_threads 4)
+      ~seconds:(scenario_seconds 1.0);
     exit 0
   end;
   let monitoring = !monitor_out <> "" || !monitor_console in
@@ -294,13 +260,13 @@ let () =
       cm = Twoplsf_cm.Cm.choice_of_name !cm_name;
       admission = !admission;
       fallback =
-        (if !no_fallback then false else !fallback || !overload > 0.0);
+        (if !no_fallback then false else !fallback || !scenario = "overload");
     }
   in
   Twoplsf_cm.Cm.install policy;
   if policy.Stm_intf.admission then Twoplsf_cm.Admission.install ();
   let module Chaos = Twoplsf_chaos.Chaos in
-  let chaos_on = !chaos || !chaos_seed <> 0 || !soak > 0.0 in
+  let chaos_on = !chaos || !chaos_seed <> 0 || !scenario = "chaos" in
   if chaos_on then begin
     let cfg =
       if !chaos_seed <> 0 then { Chaos.default with Chaos.seed = !chaos_seed }
@@ -309,105 +275,90 @@ let () =
     Chaos.enable ~config:cfg ();
     Printf.printf "Chaos: enabled, seed=0x%X\n%!" (Chaos.seed ())
   end;
-  let soak_failures = ref 0 in
-  let overload_failures = ref 0 in
-  let explore_failures = ref 0 in
-  let crash_failures = ref 0 in
-  let disk_failures = ref 0 in
-  if !disk_soak > 0 then
-    disk_failures :=
-      Disk_soak.run ~cycles:!disk_soak ~threads:!disk_threads
-        ~rows:!disk_rows ~seconds:!disk_seconds ~mats:!disk_mats
-        ~seed:(if !disk_seed <> 0 then !disk_seed else 0xD15C)
-  else if !crash_soak > 0 then
-    crash_failures :=
-      Crash_soak.run ~cycles:!crash_soak ~threads:!crash_threads
-        ~rows:!crash_rows ~seconds:!crash_seconds
-        ~seed:(if !chaos_seed <> 0 then !chaos_seed else 0xC4A05)
-        ~dir:!crash_dir
-  else if !explore > 0 then begin
-    let module Sc = Twoplsf_sched.Scenario in
-    let module Ex = Twoplsf_sched.Explore in
-    let module Tr = Twoplsf_sched.Trace in
-    Printf.printf "Schedule exploration smoke: %d PCT schedules per STM\n%!"
-      !explore;
-    List.iter
-      (fun stm ->
-        let params =
+  let registry_stms () =
+    if !stms = [] then Baselines.Registry.all
+    else List.map Baselines.Registry.find !stms
+  in
+  let seed_or default = if !seed <> 0 then !seed else default in
+  (* Failed checks of the scenario (its rows name them). *)
+  let failures =
+    match !scenario with
+    | "disk" ->
+        Disk_soak.run ~cycles:!cycles ~threads:(scenario_threads 4)
+          ~seconds:(scenario_seconds 0.35) ~seed:(seed_or 0xD15C)
+    | "crash" ->
+        Crash_soak.run ~cycles:!cycles ~threads:(scenario_threads 4)
+          ~seconds:(scenario_seconds 1.0) ~seed:(seed_or 0xC4A05) ~dir:!dir
+    | "explore" ->
+        let module Sc = Twoplsf_sched.Scenario in
+        let module Ex = Twoplsf_sched.Explore in
+        let module Tr = Twoplsf_sched.Trace in
+        Printf.printf
+          "Schedule exploration smoke: %d PCT schedules per STM\n%!" !cycles;
+        let failed stm =
+          let params =
+            {
+              Ex.default_params with
+              Ex.scenario = { Tr.default_scenario with Tr.stm };
+              iters = !cycles;
+              do_shrink = false;
+            }
+          in
+          let r = Ex.search params in
+          match r.Ex.found with
+          | None ->
+              Printf.printf "  %-14s ok (%d schedules, %d decisions)\n%!" stm
+                r.Ex.iterations r.Ex.total_decisions;
+              false
+          | Some f ->
+              Printf.printf "  %-14s VIOLATION at iteration %d: %s\n%!" stm
+                f.Ex.iteration
+                (Sc.failure_to_string f.Ex.failure);
+              true
+        in
+        List.length (List.filter failed Sc.supported)
+    | "overload" ->
+        (* Oversubscribe on purpose: overload behaviour only shows when
+           the scheduler preempts lock holders. *)
+        Soak.overload ~stms:(registry_stms ())
+          ~threads:(scenario_threads (2 * Domain.recommended_domain_count ()))
+          ~seconds:(Option.get !seconds) ~theta:!zipf_theta
+    | "chaos" ->
+        let threads = List.fold_left Stdlib.max 1 fig_threads in
+        Printf.printf
+          "Chaos soak: %.1fs per STM, threads=%d, max-restarts=%d\n%!"
+          (Option.get !seconds) threads !max_restarts;
+        Soak.chaos ~stms:(registry_stms ()) ~threads
+          ~seconds:(Option.get !seconds)
+    | _ ->
+        let p =
           {
-            Ex.default_params with
-            Ex.scenario = { Tr.default_scenario with Tr.stm };
-            iters = !explore;
-            do_shrink = false;
+            Figures.threads = fig_threads;
+            seconds = fig_seconds;
+            big = !big;
+            runs = !runs;
           }
         in
-        let r = Ex.search params in
-        match r.Ex.found with
-        | None ->
-            Printf.printf "  %-14s ok (%d schedules, %d decisions)\n%!" stm
-              r.Ex.iterations r.Ex.total_decisions
-        | Some f ->
-            incr explore_failures;
-            Printf.printf "  %-14s VIOLATION at iteration %d: %s\n%!" stm
-              f.Ex.iteration
-              (Sc.failure_to_string f.Ex.failure))
-      Sc.supported
-  end
-  else if !overload > 0.0 then begin
-    let stms =
-      if !overload_stms = "" then Baselines.Registry.all
-      else
-        String.split_on_char ',' !overload_stms
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map Baselines.Registry.find
-    in
-    (* Oversubscribe on purpose: overload behaviour only shows when the
-       scheduler preempts lock holders. *)
-    let threads =
-      if !overload_threads > 0 then !overload_threads
-      else 2 * Domain.recommended_domain_count ()
-    in
-    overload_failures :=
-      Overload.run ~stms ~threads ~seconds:!overload ~theta:!zipf_theta
-  end
-  else if !soak > 0.0 then begin
-    let stms =
-      if !soak_stms = "" then Baselines.Registry.all
-      else
-        String.split_on_char ',' !soak_stms
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map Baselines.Registry.find
-    in
-    let soak_threads = List.fold_left Stdlib.max 1 !threads in
-    Printf.printf "Chaos soak: %.1fs per STM, threads=%d, max-restarts=%d\n%!"
-      !soak soak_threads !max_restarts;
-    soak_failures := Soak.run ~stms ~threads:soak_threads ~seconds:!soak;
+        Printf.printf
+          "2PLSF reproduction benchmarks | threads=%s seconds=%.2f big=%b\n%!"
+          (String.concat "," (List.map string_of_int p.threads))
+          p.seconds p.big;
+        if not !no_bechamel then Bechamel_suite.run ();
+        let selected =
+          if !figure = 0 then Figures.all
+          else List.filter (fun (n, _, _) -> n = !figure) Figures.all
+        in
+        if selected = [] then begin
+          Printf.eprintf "unknown figure %d\n" !figure;
+          exit 1
+        end;
+        List.iter (fun (_, _, f) -> f p) selected;
+        0
+  in
+  if chaos_on && !scenario <> "" then
     List.iter
       (fun (cls, n) -> Printf.printf "  chaos %-9s %d\n%!" cls n)
-      (Chaos.counts ())
-  end
-  else begin
-    let p =
-      { Figures.threads = !threads; seconds = !seconds; big = !big; runs = !runs }
-    in
-    Printf.printf
-      "2PLSF reproduction benchmarks | threads=%s seconds=%.2f big=%b\n%!"
-      (String.concat "," (List.map string_of_int p.threads))
-      p.seconds p.big;
-    if not !no_bechamel then Bechamel_suite.run ();
-    let selected =
-      if !figure = 0 then Figures.all
-      else
-        List.filter (fun (n, _, _) -> n = !figure) Figures.all
-    in
-    if selected = [] then begin
-      Printf.eprintf "unknown figure %d\n" !figure;
-      exit 1
-    end;
-    List.iter (fun (_, _, f) -> f p) selected
-  end;
+      (Chaos.counts ());
   Harness.Report.close_csv ();
   if (not !no_bench_out) && Harness.Bench_artifact.any () then begin
     let path =
@@ -450,31 +401,8 @@ let () =
       exit 1
     end
   end;
-  if !soak_failures > 0 then begin
-    Printf.eprintf "chaos soak: %d STM(s) failed an invariant\n" !soak_failures;
-    exit 1
-  end;
-  if !overload_failures > 0 then begin
-    Printf.eprintf "overload: %d STM(s) failed an invariant\n"
-      !overload_failures;
-    exit 1
-  end;
-  if !explore_failures > 0 then begin
-    Printf.eprintf "explore: %d STM(s) failed a scheduled-run check\n"
-      !explore_failures;
-    exit 1
-  end;
-  if !crash_failures > 0 then begin
-    Printf.eprintf
-      "crash soak: %d cycle(s) violated a durability invariant\n"
-      !crash_failures;
-    exit 1
-  end;
-  if !disk_failures > 0 then begin
-    Printf.eprintf
-      "disk soak: %d storage-fault violation(s) (conservation, false ack, \
-       replay divergence or missing degradation)\n"
-      !disk_failures;
+  if failures > 0 then begin
+    Printf.eprintf "--scenario %s: %d failed check(s)\n" !scenario failures;
     exit 1
   end;
   print_endline "\nDone. See EXPERIMENTS.md for paper-vs-measured notes."

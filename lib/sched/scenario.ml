@@ -90,7 +90,9 @@ let run ?(strategy = Sched.Round_robin) ?(max_steps = 200_000) ?chaos
   Chaos.enable ~config:cfg ();
   Sched.setup ~max_steps ~threads:p.threads strategy;
   S.reset_stats ();
-  let accounts = Array.init p.accounts (fun _ -> S.tvar p.init_balance) in
+  let module T = Harness.Transfer.Make (S) in
+  let table = T.create ~n:p.accounts ~initial:p.init_balance in
+  let accounts = table.T.accounts in
   let logs : Checker.txn list array = Array.make p.threads [] in
   let errors : exn option array = Array.make p.threads None in
   let turn = Atomic.make 0 in
@@ -208,63 +210,62 @@ let run ?(strategy = Sched.Round_robin) ?(max_steps = 200_000) ?chaos
     match Array.to_list errors |> List.find_map Fun.id with
     | Some e -> Some (Worker_exn (Printexc.to_string e))
     | None -> (
-        let leaked = S.leaked_locks () in
+        let { Harness.Transfer.total = actual; expected; leaked } =
+          T.audit table
+        in
         if leaked > 0 then Some (Leaked_locks leaked)
+        else if actual <> expected then Some (Conservation { expected; actual })
+        else if info.budget_exhausted then
+          (* Progress under an adversarial schedule is exactly what
+             only the 2PLSF family claims (the paper's motivation): a
+             PCT schedule that starves wound-wait's wounder — the
+             victim restarts instantly, re-grabs its lock and
+             re-blocks before the older transaction runs — or locks
+             encounter-time STMs into mutual-abort cycles is expected
+             behaviour there, not a bug.  The history logged after
+             exhaustion ran unscheduled, so no further checks apply
+             either way. *)
+          if List.mem p.stm twoplsf_family then
+            Some
+              (No_progress
+                 (Printf.sprintf
+                    "step budget (%d) exhausted with %d/%d commits" max_steps
+                    commits (p.threads * p.txns_per_thread)))
+          else None
         else
-          let expected = p.accounts * p.init_balance in
-          let actual = Array.fold_left ( + ) 0 finals in
-          if actual <> expected then Some (Conservation { expected; actual })
-          else if info.budget_exhausted then
-            (* Progress under an adversarial schedule is exactly what
-               only the 2PLSF family claims (the paper's motivation): a
-               PCT schedule that starves wound-wait's wounder — the
-               victim restarts instantly, re-grabs its lock and
-               re-blocks before the older transaction runs — or locks
-               encounter-time STMs into mutual-abort cycles is expected
-               behaviour there, not a bug.  The history logged after
-               exhaustion ran unscheduled, so no further checks apply
-               either way. *)
-            if List.mem p.stm twoplsf_family then
-              Some
-                (No_progress
-                   (Printf.sprintf
-                      "step budget (%d) exhausted with %d/%d commits" max_steps
-                      commits (p.threads * p.txns_per_thread)))
-            else None
-          else
-            let init = Array.make p.accounts p.init_balance in
-            (* TicToc's read-only transactions skip commit validation by
-               design (non-opacity): an audit observing a mixed snapshot
-               is expected behaviour there, not a violation.  Update
-               transactions stay fully checked. *)
-            let checked =
-              if String.equal p.stm "TicToc-STM" then
-                List.filter (fun (t : Checker.txn) -> t.writes <> []) txns
-              else txns
-            in
-            match Checker.check_serializable ~init checked with
-            | Some v -> Some (Serializability v)
-            | None -> (
-                let starve =
-                  if
-                    Option.is_none chaos && p.threads > 1
-                    && List.mem p.stm twoplsf_family
-                  then
-                    Checker.check_restart_bound ~bound:(p.threads - 1) txns
-                  else None
-                in
-                match starve with
-                | Some v -> Some (Starvation v)
-                | None ->
-                    (* Commit-gap is a liveness bound too: only the
-                       starvation-free family owes it. *)
-                    if commits = 0 || not (List.mem p.stm twoplsf_family)
-                    then None
-                    else
-                      Checker.check_commit_gap
-                        ~bound:(max 2000 (200 * p.threads))
-                        ~total:info.steps txns
-                      |> Option.map (fun v ->
-                             No_progress (Checker.explain v))))
+          let init = Array.make p.accounts p.init_balance in
+          (* TicToc's read-only transactions skip commit validation by
+             design (non-opacity): an audit observing a mixed snapshot
+             is expected behaviour there, not a violation.  Update
+             transactions stay fully checked. *)
+          let checked =
+            if String.equal p.stm "TicToc-STM" then
+              List.filter (fun (t : Checker.txn) -> t.writes <> []) txns
+            else txns
+          in
+          match Checker.check_serializable ~init checked with
+          | Some v -> Some (Serializability v)
+          | None -> (
+              let starve =
+                if
+                  Option.is_none chaos && p.threads > 1
+                  && List.mem p.stm twoplsf_family
+                then
+                  Checker.check_restart_bound ~bound:(p.threads - 1) txns
+                else None
+              in
+              match starve with
+              | Some v -> Some (Starvation v)
+              | None ->
+                  (* Commit-gap is a liveness bound too: only the
+                     starvation-free family owes it. *)
+                  if commits = 0 || not (List.mem p.stm twoplsf_family)
+                  then None
+                  else
+                    Checker.check_commit_gap
+                      ~bound:(max 2000 (200 * p.threads))
+                      ~total:info.steps txns
+                    |> Option.map (fun v ->
+                           No_progress (Checker.explain v))))
   in
   { failure; info; history_hash; commits; aborts; txns; finals }

@@ -7,6 +7,8 @@
      exception and for a chaos-injected one;
    - a spurious-restart storm (forced acquisition failures) converges and
      conserves the workload invariant;
+   - the shared transfer audit commits on a large table with full
+     injection on (it pauses injection for its own transaction);
    - a stalled victim thread does not trip the runtime-verification
      watchdog (stalls are slowness, not deadlock);
    - Harness.Exec contains a crashing worker: all domains joined, Tid
@@ -106,10 +108,12 @@ let test_exception_cleanup () =
 
 (* ---- spurious-restart storm converges and conserves ---- *)
 
+module T = Harness.Transfer.Make (Stm)
+
 let test_spurious_storm () =
   with_clean_globals (fun () ->
       let n = 32 in
-      let accounts = Array.init n (fun _ -> Stm.tvar 100) in
+      let t = T.create ~n ~initial:100 in
       Chaos.enable
         ~config:{ quiet_config with Chaos.spurious_ppm = 300_000 }
         ();
@@ -118,24 +122,31 @@ let test_spurious_storm () =
         (Harness.Exec.run_each ~threads:4 (fun i ->
              let rng = Util.Sprng.create (0xAB + i) in
              for _ = 1 to txns_per_worker do
-               let a = Util.Sprng.int rng n and b = Util.Sprng.int rng n in
-               Stm.atomic (fun tx ->
-                   let va = Stm.read tx accounts.(a) in
-                   let vb = Stm.read tx accounts.(b) in
-                   if a <> b then begin
-                     Stm.write tx accounts.(a) (va - 3);
-                     Stm.write tx accounts.(b) (vb + 3)
-                   end)
+               let a = Util.Sprng.int rng n in
+               let b = Util.Sprng.int rng n in
+               T.transfer t rng ~a ~b ~amt:3
              done));
       Chaos.disable ();
-      let total =
-        Stm.atomic ~read_only:true (fun tx ->
-            Array.fold_left (fun acc a -> acc + Stm.read tx a) 0 accounts)
-      in
-      check Alcotest.int "conserved" (n * 100) total;
-      check Alcotest.int "zero leaked locks" 0 (Stm.leaked_locks ());
+      let audit = T.audit t in
+      check Alcotest.int "conserved" (n * 100) audit.Harness.Transfer.total;
+      check Alcotest.int "zero leaked locks" 0 audit.Harness.Transfer.leaked;
       let spurious = List.assoc "spurious" (Chaos.counts ()) in
       check Alcotest.bool "storm actually injected" true (spurious > 0))
+
+(* ---- the shared audit commits under full injection ---- *)
+
+(* A 4096-account read-only sum under [Chaos.default] almost never gets
+   through every acquisition without a spurious restart or injected
+   fault; the audit pauses injection, so it commits, and restores it. *)
+let test_audit_under_injection () =
+  with_clean_globals (fun () ->
+      let t = T.create ~n:4096 ~initial:1_000 in
+      Chaos.enable ~config:Chaos.default ();
+      let audit = T.audit t in
+      check Alcotest.bool "injection restored" true (Chaos.enabled ());
+      check Alcotest.int "conserved" (4096 * 1_000)
+        audit.Harness.Transfer.total;
+      check Alcotest.int "zero leaked locks" 0 audit.Harness.Transfer.leaked)
 
 (* ---- stalled victim passes the watchdog ---- *)
 
@@ -333,6 +344,8 @@ let () =
             test_exception_cleanup;
           Alcotest.test_case "spurious storm converges" `Quick
             test_spurious_storm;
+          Alcotest.test_case "audit commits under injection" `Quick
+            test_audit_under_injection;
           Alcotest.test_case "stalled victim vs watchdog" `Quick
             test_stalled_victim_watchdog;
           Alcotest.test_case "exec crash containment" `Quick

@@ -181,9 +181,8 @@ let test_admission_aimd () =
 
 let test_escalation_conserves () =
   with_clean_globals (fun () ->
-      let n_accounts = 8 in
-      let initial = 100 in
-      let accounts = Array.init n_accounts (fun _ -> Stm.tvar initial) in
+      let module T = Harness.Transfer.Make (Stm) in
+      let t = T.create ~n:8 ~initial:100 in
       Cm.install
         {
           Stm_intf.default_policy with
@@ -203,17 +202,9 @@ let test_escalation_conserves () =
             let rng = Util.Sprng.create (0xE5CA + (i * 7919)) in
             let ops = ref 0 in
             while not (should_stop ()) do
-              let a = Util.Sprng.int rng n_accounts in
-              let b = Util.Sprng.int rng n_accounts in
-              match
-                Stm.atomic (fun tx ->
-                    let va = Stm.read tx accounts.(a) in
-                    let vb = Stm.read tx accounts.(b) in
-                    if a <> b then begin
-                      Stm.write tx accounts.(a) (va - 1);
-                      Stm.write tx accounts.(b) (vb + 1)
-                    end)
-              with
+              let a = Util.Sprng.int rng 8 in
+              let b = Util.Sprng.int rng 8 in
+              match T.transfer t rng ~a ~b ~amt:1 with
               | () -> incr ops
               | exception Stm_intf.Starved _ -> Atomic.incr starved
             done;
@@ -225,13 +216,10 @@ let test_escalation_conserves () =
       check Alcotest.bool "escalations fired" true
         (Cm.escalations () > esc0);
       check Alcotest.int "never starved" 0 (Atomic.get starved);
-      check Alcotest.int "zero leaked locks" 0 (Stm.leaked_locks ());
-      let total =
-        Stm.atomic ~read_only:true (fun tx ->
-            Array.fold_left (fun acc a -> acc + Stm.read tx a) 0 accounts)
-      in
+      let audit = T.audit t in
+      check Alcotest.int "zero leaked locks" 0 audit.Harness.Transfer.leaked;
       check Alcotest.int "conserved (each escalated txn committed once)"
-        (n_accounts * initial) total)
+        (8 * 100) audit.Harness.Transfer.total)
 
 (* ---- Deadline_exceeded cleanliness for every registry STM ---- *)
 
@@ -240,9 +228,8 @@ let test_deadline_cleanliness_all_stms () =
       let total_deadlines = ref 0 in
       List.iter
         (fun (module S : Stm_intf.STM) ->
-          let n_accounts = 4 in
-          let initial = 100 in
-          let accounts = Array.init n_accounts (fun _ -> S.tvar initial) in
+          let module T = Harness.Transfer.Make (S) in
+          let t = T.create ~n:4 ~initial:100 in
           (* A 1 ns budget is blown the moment any attempt has to wait or
              abort: under 4-way contention on 4 accounts the deadline path
              runs constantly, and the invariants below are exactly the
@@ -256,22 +243,9 @@ let test_deadline_cleanliness_all_stms () =
                  let rng = Util.Sprng.create (0xDEAD + (i * 104729)) in
                  let ops = ref 0 in
                  while not (should_stop ()) do
-                   let a = Util.Sprng.int rng n_accounts in
-                   let b = Util.Sprng.int rng n_accounts in
-                   match
-                     if Util.Sprng.int rng 8 = 0 then
-                       S.atomic ~read_only:true (fun tx ->
-                           ignore (S.read tx accounts.(a));
-                           ignore (S.read tx accounts.(b)))
-                     else
-                       S.atomic (fun tx ->
-                           let va = S.read tx accounts.(a) in
-                           let vb = S.read tx accounts.(b) in
-                           if a <> b then begin
-                             S.write tx accounts.(a) (va - 1);
-                             S.write tx accounts.(b) (vb + 1)
-                           end)
-                   with
+                   let a = Util.Sprng.int rng 4 in
+                   let b = Util.Sprng.int rng 4 in
+                   match T.transfer t rng ~a ~b ~amt:1 with
                    | () -> incr ops
                    | exception Stm_intf.Deadline_exceeded _ ->
                        Atomic.incr deadlines
@@ -281,15 +255,12 @@ let test_deadline_cleanliness_all_stms () =
              blow the 1 ns budget. *)
           Stm_intf.install_policy Stm_intf.default_policy;
           total_deadlines := !total_deadlines + Atomic.get deadlines;
+          let audit = T.audit t in
           check Alcotest.int
             (S.name ^ ": zero leaked locks")
-            0 (S.leaked_locks ());
-          let total =
-            S.atomic ~read_only:true (fun tx ->
-                Array.fold_left (fun acc a -> acc + S.read tx a) 0 accounts)
-          in
-          check Alcotest.int (S.name ^ ": conserved") (n_accounts * initial)
-            total)
+            0 audit.Harness.Transfer.leaked;
+          check Alcotest.int (S.name ^ ": conserved") (4 * 100)
+            audit.Harness.Transfer.total)
         Baselines.Registry.all;
       check Alcotest.bool "deadline path exercised" true
         (!total_deadlines > 0))

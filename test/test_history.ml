@@ -3,7 +3,7 @@
    under several STMs (including the non-opaque TicToc) and verify a
    serial witness exists. *)
 
-module H = Harness.History
+module H = History
 module M = H.Int_set_model
 module C = H.Make (H.Int_set_model)
 

@@ -1,10 +1,10 @@
-(* Tests for the lock substrate: spinlock, ticket lock, seqlock, the three
+(* Tests for the lock substrate: spinlock, seqlock, the three
    trylock reader-writer locks (2PL-RW, 2PL-RW-Dist, TLRW) and the flat
    combiner. *)
 
 let check = Alcotest.check
 
-(* ---- Spinlock / Ticket lock ---- *)
+(* ---- Spinlock ---- *)
 
 let test_spinlock_mutual_exclusion () =
   let l = Rwlock.Spinlock.create () in
@@ -30,23 +30,6 @@ let test_spinlock_exception_releases () =
   (try Rwlock.Spinlock.with_lock l (fun () -> failwith "boom")
    with Failure _ -> ());
   check Alcotest.bool "released" true (Rwlock.Spinlock.try_lock l)
-
-let test_ticket_mutual_exclusion () =
-  let l = Rwlock.Ticket_lock.create () in
-  let counter = ref 0 in
-  ignore
-    (Harness.Exec.run_each ~threads:4 (fun _ ->
-         for _ = 1 to 1_000 do
-           Rwlock.Ticket_lock.with_lock l (fun () -> incr counter)
-         done));
-  check Alcotest.int "no lost updates" 4_000 !counter
-
-let test_ticket_trylock () =
-  let l = Rwlock.Ticket_lock.create () in
-  check Alcotest.bool "uncontended" true (Rwlock.Ticket_lock.try_lock l);
-  check Alcotest.bool "held" false (Rwlock.Ticket_lock.try_lock l);
-  Rwlock.Ticket_lock.unlock l;
-  check Alcotest.bool "released" true (Rwlock.Ticket_lock.try_lock l)
 
 (* ---- Seqlock ---- *)
 
@@ -296,67 +279,14 @@ module B_single = Trylock_battery (Rwlock.Rwl_single)
 module B_dist = Trylock_battery (Rwlock.Rwl_dist)
 module B_counter = Trylock_battery (Rwlock.Rwl_counter)
 
-(* ---- MCS lock ---- *)
-
-let test_mcs_mutual_exclusion () =
-  let l = Rwlock.Mcs_lock.create () in
-  let counter = ref 0 in
-  ignore
-    (Harness.Exec.run_each ~threads:4 (fun _ ->
-         for _ = 1 to 1_000 do
-           Rwlock.Mcs_lock.with_lock l (fun () -> incr counter)
-         done));
-  check Alcotest.int "no lost updates" 4_000 !counter
-
-let test_mcs_trylock () =
-  let l = Rwlock.Mcs_lock.create () in
-  check Alcotest.bool "uncontended" true (Rwlock.Mcs_lock.try_lock l);
-  check Alcotest.bool "held" false (Rwlock.Mcs_lock.try_lock l);
-  Rwlock.Mcs_lock.unlock l;
-  check Alcotest.bool "released" true (Rwlock.Mcs_lock.try_lock l);
-  Rwlock.Mcs_lock.unlock l
-
-let test_mcs_fifo_handoff () =
-  (* The holder sleeps; two waiters enqueue in a known order (the second
-     starts only after the first has announced it is about to enqueue,
-     plus a generous separation for scheduler noise); FIFO handoff must
-     serve them in that order. *)
-  let l = Rwlock.Mcs_lock.create () in
-  let order = ref [] in
-  let order_lock = Rwlock.Spinlock.create () in
-  let w1_enqueueing = Atomic.make false in
-  Rwlock.Mcs_lock.lock l;
-  let d1 =
-    Domain.spawn (fun () ->
-        Atomic.set w1_enqueueing true;
-        Rwlock.Mcs_lock.lock l;
-        Rwlock.Spinlock.with_lock order_lock (fun () -> order := 1 :: !order);
-        Rwlock.Mcs_lock.unlock l)
-  in
-  let d2 =
-    Domain.spawn (fun () ->
-        let b = Util.Backoff.create () in
-        while not (Atomic.get w1_enqueueing) do
-          Util.Backoff.once b
-        done;
-        Unix.sleepf 0.2;
-        Rwlock.Mcs_lock.lock l;
-        Rwlock.Spinlock.with_lock order_lock (fun () -> order := 2 :: !order);
-        Rwlock.Mcs_lock.unlock l)
-  in
-  Unix.sleepf 0.4 (* both are queued now *);
-  Rwlock.Mcs_lock.unlock l;
-  Domain.join d1;
-  Domain.join d2;
-  check (Alcotest.list Alcotest.int) "fifo order" [ 2; 1 ] !order
-
 (* §2.3 demonstrated: 2PL over starvation-free mutexes still deadlocks (or
    with trylock, live-locks), while 2PLSF's tryOrWaitLock completes.  Two
-   threads take two locks in opposite orders with MCS [try_lock] and give
-   up after a bounded number of attempts; under the same schedule-free
-   setup 2PLSF finishes every transaction. *)
+   threads take two locks in opposite orders with [try_lock] — which never
+   waits, so the mutex's fairness never comes into play — and give up
+   after a bounded number of attempts; under the same schedule-free setup
+   2PLSF finishes every transaction. *)
 let test_sf_locks_are_not_enough () =
-  let a = Rwlock.Mcs_lock.create () and b = Rwlock.Mcs_lock.create () in
+  let a = Rwlock.Spinlock.create () and b = Rwlock.Spinlock.create () in
   let give_ups = Atomic.make 0 in
   let attempts_per_txn = 50 in
   ignore
@@ -367,12 +297,12 @@ let test_sf_locks_are_not_enough () =
            let tries = ref 0 in
            while (not !committed) && !tries < attempts_per_txn do
              incr tries;
-             if Rwlock.Mcs_lock.try_lock first then begin
-               if Rwlock.Mcs_lock.try_lock second then begin
+             if Rwlock.Spinlock.try_lock first then begin
+               if Rwlock.Spinlock.try_lock second then begin
                  committed := true;
-                 Rwlock.Mcs_lock.unlock second
+                 Rwlock.Spinlock.unlock second
                end;
-               Rwlock.Mcs_lock.unlock first
+               Rwlock.Spinlock.unlock first
              end
            done;
            if not !committed then Atomic.incr give_ups
@@ -450,12 +380,8 @@ let () =
           Alcotest.test_case "trylock" `Quick test_spinlock_trylock;
           Alcotest.test_case "exception releases" `Quick
             test_spinlock_exception_releases;
-        ] );
-      ( "ticket",
-        [
-          Alcotest.test_case "mutual exclusion" `Quick
-            test_ticket_mutual_exclusion;
-          Alcotest.test_case "trylock" `Quick test_ticket_trylock;
+          Alcotest.test_case "sf locks are not enough (2.3)" `Quick
+            test_sf_locks_are_not_enough;
         ] );
       ( "seqlock",
         [
@@ -473,15 +399,6 @@ let () =
             test_ri_same_word_isolation;
           Alcotest.test_case "iter readers" `Quick test_ri_iter_readers;
           QCheck_alcotest.to_alcotest qcheck_ri_model;
-        ] );
-      ( "mcs",
-        [
-          Alcotest.test_case "mutual exclusion" `Quick
-            test_mcs_mutual_exclusion;
-          Alcotest.test_case "trylock" `Quick test_mcs_trylock;
-          Alcotest.test_case "fifo handoff" `Quick test_mcs_fifo_handoff;
-          Alcotest.test_case "sf locks are not enough (2.3)" `Quick
-            test_sf_locks_are_not_enough;
         ] );
       ("2PL-RW lock", B_single.cases);
       ("2PL-RW-Dist lock", B_dist.cases);

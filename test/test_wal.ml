@@ -183,77 +183,62 @@ let test_ring () =
 
 (* ---- WAL end to end through the DBx engine ---- *)
 
-let rows = 32
-let init_balance = 1_000
+module Durable = Dbx.Durable
 
-let make_table () =
-  let tbl = Dbx.Table.create ~num_rows:rows in
-  for rid = 0 to rows - 1 do
-    Dbx.Table.set_balance tbl rid init_balance
-  done;
-  tbl
+let rows = 32
+let conserved = rows * Durable.init_balance
 
 (* Run [n] seeded transfers on a fresh table with a WAL attached; the
    returned table is the live post-history state. *)
 let run_history ~dir ~seed ~n ~cfg =
-  let tbl = make_table () in
-  let store = Dbx.Cc_2plsf.wal_store tbl in
-  let w = Wal.create (cfg dir) store in
+  let tbl = Durable.make_table ~rows in
+  let w = Wal.create (cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
   let cc = Dbx.Cc_2plsf.create tbl in
   Dbx.Cc_2plsf.set_wal cc (Some w);
-  let tid = Util.Tid.get () in
-  let rng = Util.Sprng.create seed in
-  for _ = 1 to n do
-    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-    let amt = 1 + Util.Sprng.int rng 16 in
-    ignore (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b ~amount:amt)
-  done;
+  ignore
+    (Durable.transfers cc ~tid:(Util.Tid.get ()) ~rows (Util.Sprng.create seed)
+       ~until:(fun k -> k = n));
   Dbx.Cc_2plsf.set_wal cc None;
   Wal.stop w;
   tbl
 
 let recover_into_fresh ~dir =
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let r = Wal.recover ~dir (Dbx.Cc_2plsf.wal_store tbl) in
   (tbl, r)
 
-let tables_equal a b =
-  let ok = ref true in
-  for rid = 0 to rows - 1 do
-    if not (Bytes.equal (Dbx.Table.payload a rid) (Dbx.Table.payload b rid))
-    then ok := false
-  done;
-  !ok
+let last_segment dir =
+  match List.rev (Wal.segments ~dir ()) with
+  | (_, path) :: _ -> path
+  | [] -> Alcotest.fail "no segments"
 
-let balance_sum t =
-  let s = ref 0 in
-  for rid = 0 to rows - 1 do
-    s := !s + Dbx.Table.balance t rid
-  done;
-  !s
+(* The full recovery oracle; any violation fails the test. *)
+let verify_ok ~dir ~acked_floor =
+  match Durable.verify ~dir ~rows ~acked_floor () with
+  | Ok r -> r
+  | Error v -> Alcotest.fail (Durable.violation_to_string v)
 
 let quick_cfg ?(ckpt = 0) dir =
   Wal.config ~sync:Wal.Sync_none ~ckpt_every_bytes:ckpt ~dir ()
 
+(* Conservation, no false ack, byte-equal double replay and LSN order
+   all hold inside [verify_ok]; every one of the 300 commits was acked. *)
 let test_recover_matches_live () =
   with_dir @@ fun dir ->
   let live = run_history ~dir ~seed:11 ~n:300 ~cfg:quick_cfg in
-  let rec1, r = recover_into_fresh ~dir in
-  check Alcotest.bool "recovered = live" true (tables_equal live rec1);
-  check Alcotest.int "conservation" (rows * init_balance) (balance_sum rec1);
+  let { Durable.table; recovery = r } = verify_ok ~dir ~acked_floor:300 in
+  check Alcotest.bool "recovered = live" true
+    (Durable.tables_equal live table);
   check Alcotest.bool "no torn tail on clean shutdown" false r.Wal.r_torn_tail;
-  check Alcotest.int "all records replayable" 300 r.Wal.r_records;
-  (* replay twice == replay once *)
-  let rec2, _ = recover_into_fresh ~dir in
-  check Alcotest.bool "idempotent" true (tables_equal rec1 rec2)
+  check Alcotest.int "all records replayable" 300 r.Wal.r_records
 
 let test_durable_ack_and_metrics () =
   with_dir @@ fun dir ->
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   (* real fsyncs on this one: the ack must mean flushed *)
   let w = Wal.create (Wal.config ~dir ()) store in
-  Dbx.Table.set_balance tbl 0 init_balance;
+  Dbx.Table.set_balance tbl 0 Durable.init_balance;
   Wal.mark_dirty w ~rid:0;
   let lsn = Wal.log_commit w ~tid:(Util.Tid.get ()) ~n:1 ~rid:(fun _ -> 0) in
   Wal.wait_durable w ~lsn;
@@ -266,28 +251,20 @@ let test_durable_ack_and_metrics () =
 
 let test_torn_tail_truncated () =
   with_dir @@ fun dir ->
-  let live = run_history ~dir ~seed:22 ~n:200 ~cfg:quick_cfg in
-  ignore live;
-  let seg =
-    match List.rev (Wal.segments ~dir ()) with
-    | (_, path) :: _ -> path
-    | [] -> Alcotest.fail "no segments"
-  in
+  ignore (run_history ~dir ~seed:22 ~n:200 ~cfg:quick_cfg);
+  let seg = last_segment dir in
   (* cut the last record in half: the classic crash-mid-append state *)
   let size = (Unix.stat seg).Unix.st_size in
   let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
   Unix.ftruncate fd (size - 30);
   Unix.close fd;
-  let rec1, r = recover_into_fresh ~dir in
+  (* the oracle's own double replay runs on the truncated log *)
+  let { Durable.recovery = r; _ } = verify_ok ~dir ~acked_floor:199 in
   check Alcotest.bool "torn tail detected" true r.Wal.r_torn_tail;
-  check Alcotest.int "torn tail truncated" (199) r.Wal.r_records;
-  check Alcotest.int "conservation after truncation" (rows * init_balance)
-    (balance_sum rec1);
+  check Alcotest.int "torn tail truncated" 199 r.Wal.r_records;
   (* the truncated log is now clean: recover again, no tear reported *)
-  let rec2, r2 = recover_into_fresh ~dir in
+  let _, r2 = recover_into_fresh ~dir in
   check Alcotest.bool "second recovery clean" false r2.Wal.r_torn_tail;
-  check Alcotest.bool "idempotent after truncation" true
-    (tables_equal rec1 rec2);
   (* garbage appended after the good prefix is also just a tear *)
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 seg in
   output_string oc "\x00\x01\x02garbage";
@@ -318,7 +295,7 @@ let test_interior_corruption_refused () =
      this is corruption, not a tear — recovery must refuse, not
      silently drop the suffix *)
   flip_bit_at seg 40;
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   match Wal.recover ~strict:true ~dir (Dbx.Cc_2plsf.wal_store tbl) with
   | exception Wal.Corrupt _ -> ()
   | _ -> Alcotest.fail "strict recovery accepted interior corruption"
@@ -326,27 +303,19 @@ let test_interior_corruption_refused () =
 let test_suspect_tail_truncated_lenient () =
   with_dir @@ fun dir ->
   ignore (run_history ~dir ~seed:34 ~n:200 ~cfg:quick_cfg);
-  let seg =
-    match List.rev (Wal.segments ~dir ()) with
-    | (_, path) :: _ -> path
-    | [] -> Alcotest.fail "no segments"
-  in
+  let seg = last_segment dir in
   (* same damage, lenient (default) model: on a real power loss the
      final segment's sectors can land out of order, so a valid record
      after damaged bytes is a legal crash state — recovery truncates at
      the damage and counts the discarded suffix as suspect *)
   flip_bit_at seg 40;
-  let rec1, r = recover_into_fresh ~dir in
+  let { Durable.recovery = r; _ } = verify_ok ~dir ~acked_floor:0 in
   if r.Wal.r_suspect_records = 0 then
     Alcotest.fail "lenient recovery counted no suspect records";
   check Alcotest.bool "tail truncated" true (r.Wal.r_truncated_bytes > 0);
-  check Alcotest.int "conservation on the surviving prefix"
-    (rows * init_balance) (balance_sum rec1);
   (* the truncated log is now clean and stable *)
-  let rec2, r2 = recover_into_fresh ~dir in
-  check Alcotest.int "second recovery clean" 0 r2.Wal.r_suspect_records;
-  check Alcotest.bool "idempotent after truncation" true
-    (tables_equal rec1 rec2)
+  let _, r2 = recover_into_fresh ~dir in
+  check Alcotest.int "second recovery clean" 0 r2.Wal.r_suspect_records
 
 (* checkpoint + log suffix == full log: the same seeded history run
    with aggressive checkpointing and with none must recover to the same
@@ -363,7 +332,7 @@ let test_checkpoint_equivalence () =
         run_history ~dir:dir_b ~seed ~n:400 ~cfg:quick_cfg
       in
       check Alcotest.bool "same history, same live state" true
-        (tables_equal live_a live_b);
+        (Durable.tables_equal live_a live_b);
       (match Wal.read_image_info ~dir:dir_a () with
       | Some i -> check Alcotest.int "image covers the table" rows i.Wal.i_num_rows
       | None -> Alcotest.fail "aggressive checkpointing produced no image");
@@ -376,9 +345,9 @@ let test_checkpoint_equivalence () =
       check Alcotest.bool "checkpointed side replays a suffix" true
         (ra.Wal.r_records < 400);
       check Alcotest.bool "checkpoint+suffix = full log" true
-        (tables_equal rec_a rec_b);
+        (Durable.tables_equal rec_a rec_b);
       check Alcotest.bool "both match the live image" true
-        (tables_equal rec_a live_a))
+        (Durable.tables_equal rec_a live_a))
     [ 1; 2; 3; 4; 5 ]
 
 (* explicit checkpoint barrier + the mark_undo parity path: a rollback
@@ -386,7 +355,7 @@ let test_checkpoint_equivalence () =
    not spin forever on an odd mark *)
 let test_manual_checkpoint_and_undo_marks () =
   with_dir @@ fun dir ->
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let w = Wal.create (quick_cfg dir) store in
   Wal.mark_dirty w ~rid:3;
@@ -407,7 +376,7 @@ let test_manual_checkpoint_and_undo_marks () =
    LSN-merging flush leader, then recovery of the merged log *)
 let test_concurrent_commits_recover () =
   with_dir @@ fun dir ->
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let w = Wal.create (quick_cfg ~ckpt:8192 dir) store in
   let cc = Dbx.Cc_2plsf.create tbl in
@@ -415,30 +384,26 @@ let test_concurrent_commits_recover () =
   let per_worker = 400 in
   ignore
     (Harness.Exec.run_each ~threads:4 (fun i ->
-         let rng = Util.Sprng.create (100 + i) in
-         let tid = Util.Tid.get () in
-         for _ = 1 to per_worker do
-           let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-           ignore
-             (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b ~amount:1)
-         done));
+         Durable.transfers cc ~tid:(Util.Tid.get ()) ~rows
+           (Util.Sprng.create (100 + i))
+           ~until:(fun k -> k = per_worker)));
   Dbx.Cc_2plsf.set_wal cc None;
   Wal.stop w;
-  let rec1, r = recover_into_fresh ~dir in
+  let { Durable.table; recovery = r } =
+    verify_ok ~dir ~acked_floor:(4 * per_worker)
+  in
   (* every commit drew a distinct LSN and the drain flushed them all *)
   check Alcotest.int "lsn watermark = total commits" (4 * per_worker)
     r.Wal.r_max_lsn;
   check Alcotest.bool "concurrent recovery matches live" true
-    (tables_equal rec1 tbl);
-  check Alcotest.int "conservation under concurrency" (rows * init_balance)
-    (balance_sum rec1)
+    (Durable.tables_equal table tbl)
 
 (* Logging ahead of the waits: one worker fills its ring twice over.
    With no log thread, the committer whose ring is full must drain the
    rings itself; then one wait covers every record. *)
 let test_full_ring_drains () =
   with_dir @@ fun dir ->
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let w = Wal.create (quick_cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
   let tid = Util.Tid.get () in
   let n = 2 * Wal.ring_capacity in
@@ -455,6 +420,61 @@ let test_full_ring_drains () =
   check Alcotest.int "every record replayed" n r.Wal.r_records;
   check Alcotest.int "lsn watermark" n r.Wal.r_max_lsn
 
+(* ---- the recovery oracle rejects what it must ---- *)
+
+let violation =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Durable.violation_to_string v))
+    ( = )
+
+let rejected ~dir ~acked_floor =
+  match Durable.verify ~dir ~rows ~acked_floor () with
+  | Ok _ -> Alcotest.fail "the oracle accepted the log"
+  | Error v -> v
+
+(* One commit record whose row image is off by one: the recovered table
+   no longer sums to the conserved total. *)
+let test_oracle_conservation () =
+  with_dir @@ fun dir ->
+  let tbl = Durable.make_table ~rows in
+  let w = Wal.create (quick_cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
+  Dbx.Table.set_balance tbl 0 (Durable.init_balance + 1);
+  Wal.mark_dirty w ~rid:0;
+  let lsn = Wal.log_commit w ~tid:(Util.Tid.get ()) ~n:1 ~rid:(fun _ -> 0) in
+  Wal.wait_durable w ~lsn;
+  Wal.stop w;
+  check violation "off by one"
+    (Durable.Conservation { sum = conserved + 1; expected = conserved })
+    (rejected ~dir ~acked_floor:0)
+
+(* A clean log of 50 commits, but the engine claimed LSN 51 durable. *)
+let test_oracle_false_ack () =
+  with_dir @@ fun dir ->
+  ignore (run_history ~dir ~seed:44 ~n:50 ~cfg:quick_cfg);
+  ignore (verify_ok ~dir ~acked_floor:50);
+  check violation "ack above the log"
+    (Durable.False_ack { recovered = 50; acked = 51 })
+    (rejected ~dir ~acked_floor:51)
+
+(* The first record appended again after the tail: a structurally valid
+   log that recovery replays (the stale row writes are skipped), so only
+   the LSN-order scan can see the damage. *)
+let test_oracle_lsn_order () =
+  with_dir @@ fun dir ->
+  ignore (run_history ~dir ~seed:45 ~n:50 ~cfg:quick_cfg);
+  let seg = last_segment dir in
+  let buf = Twoplsf_wal.Wal_io.read_file Twoplsf_wal.Wal_io.passthrough seg in
+  let size =
+    match Record.decode buf ~pos:0 ~avail:(Bytes.length buf) with
+    | Ok (_, size) -> size
+    | Error e -> Alcotest.failf "first record undecodable: %s" e
+  in
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 seg in
+  output_bytes oc (Bytes.sub buf 0 size);
+  close_out oc;
+  check violation "repeated LSN" Durable.Lsn_order
+    (rejected ~dir ~acked_floor:50)
+
 (* ---- WAL metric families on the exporter ---- *)
 
 let contains hay needle =
@@ -464,7 +484,7 @@ let contains hay needle =
 
 let test_wal_metric_families () =
   with_dir @@ fun dir ->
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let w = Wal.create (quick_cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
   Dbx.Wal_obs.register w;
   Fun.protect
@@ -519,6 +539,13 @@ let () =
             test_concurrent_commits_recover;
           Alcotest.test_case "full ring drained by its committer" `Quick
             test_full_ring_drains;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "rejects non-conservation" `Quick
+            test_oracle_conservation;
+          Alcotest.test_case "rejects a false ack" `Quick test_oracle_false_ack;
+          Alcotest.test_case "rejects LSN disorder" `Quick test_oracle_lsn_order;
         ] );
       ( "observability",
         [

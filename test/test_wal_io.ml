@@ -14,30 +14,16 @@ module Sim_fs = Twoplsf_wal.Sim_fs
 let check = Alcotest.check
 let () = ignore (Util.Tid.register ())
 
+module Durable = Dbx.Durable
+
 let rows = 32
-let init_balance = 1_000
 
-let make_table () =
-  let tbl = Dbx.Table.create ~num_rows:rows in
-  for rid = 0 to rows - 1 do
-    Dbx.Table.set_balance tbl rid init_balance
-  done;
-  tbl
-
-let balance_sum t =
-  let s = ref 0 in
-  for rid = 0 to rows - 1 do
-    s := !s + Dbx.Table.balance t rid
-  done;
-  !s
-
-let tables_equal a b =
-  let ok = ref true in
-  for rid = 0 to rows - 1 do
-    if not (Bytes.equal (Dbx.Table.payload a rid) (Dbx.Table.payload b rid))
-    then ok := false
-  done;
-  !ok
+(* The full recovery oracle on the simulated device's "wal" directory;
+   any violation fails the test with [what] as context. *)
+let verify_ok ~io ~acked_floor what =
+  match Durable.verify ~io ~dir:"wal" ~rows ~acked_floor () with
+  | Ok r -> r
+  | Error v -> Alcotest.failf "%s: %s" what (Durable.violation_to_string v)
 
 let read_txn =
   { Dbx.Ycsb.keys = [| 0; 1 |]; ops = [| Dbx.Ycsb.Read; Dbx.Ycsb.Read |] }
@@ -222,20 +208,20 @@ let test_sim_crash_barriers () =
 
 (* ---- engine degradation: ENOSPC mid-append ---- *)
 
-let transfer_until_degraded cc ~seed ~cap =
-  let tid = Util.Tid.get () in
-  let rng = Util.Sprng.create seed in
-  let n = ref 0 and degraded = ref false in
-  while (not !degraded) && !n < cap do
-    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-    (match
-       Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b
-         ~amount:(1 + Util.Sprng.int rng 16)
-     with
-    | _ -> incr n
-    | exception Stm_intf.Degraded_read_only _ -> degraded := true)
-  done;
-  (!degraded, !n)
+(* [n] seeded transfers; [after] runs after every commit. *)
+let transfers ?after cc ~seed ~n =
+  ignore
+    (Durable.transfers ?after cc ~tid:(Util.Tid.get ()) ~rows
+       (Util.Sprng.create seed) ~until:(fun k -> k = n))
+
+(* Seeded transfers until the engine degrades (true) or [cap] commits
+   (false). *)
+let transfer_until_degraded ?after cc ~seed ~cap =
+  match transfers ?after cc ~seed ~n:cap with
+  | () -> false
+  | exception Stm_intf.Degraded_read_only { engine; _ } ->
+      check Alcotest.string "typed engine name" "DBx-2PLSF" engine;
+      true
 
 let test_enospc_flips_readonly () =
   let fs = Sim_fs.create () in
@@ -244,29 +230,16 @@ let test_enospc_flips_readonly () =
       (Wal_io.fault_config ~seed:11 ~enospc_after_bytes:8192 ())
       (Sim_fs.io fs)
   in
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let w = Wal.create (Wal.config ~io ~dir:"wal" ()) store in
   let cc = Dbx.Cc_2plsf.create tbl in
   Dbx.Cc_2plsf.set_wal cc (Some w);
   let acked = ref 0 in
   let tid = Util.Tid.get () in
-  let rng = Util.Sprng.create 42 in
-  let degraded = ref false and committed = ref 0 in
-  while (not !degraded) && !committed < 20_000 do
-    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-    match
-      Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b
-        ~amount:(1 + Util.Sprng.int rng 16)
-    with
-    | _ ->
-        incr committed;
-        acked := max !acked (Wal.flushed_lsn w)
-    | exception Stm_intf.Degraded_read_only { engine; _ } ->
-        check Alcotest.string "typed engine name" "DBx-2PLSF" engine;
-        degraded := true
-  done;
-  if not !degraded then Alcotest.fail "8KB device never filled";
+  let after () = acked := max !acked (Wal.flushed_lsn w) in
+  if not (transfer_until_degraded ~after cc ~seed:42 ~cap:20_000) then
+    Alcotest.fail "8KB device never filled";
   check Alcotest.bool "engine records the reason" true
     (Dbx.Cc_2plsf.degraded_reason cc <> None);
   if Dbx.Cc_2plsf.readonly_rejects cc < 1 then
@@ -280,32 +253,22 @@ let test_enospc_flips_readonly () =
   Dbx.Cc_2plsf.set_wal cc None;
   Wal.stop w;
   check Alcotest.bool "log poisoned" true (Wal.degraded w <> None);
-  (* ENOSPC destroys nothing already durable: the live log recovers
-     everything acknowledged, conservation-clean *)
-  let t1 = make_table () in
-  let r = Wal.recover ~io:(Sim_fs.io fs) ~dir:"wal" (Dbx.Cc_2plsf.wal_store t1) in
-  check Alcotest.int "conservation" (rows * init_balance) (balance_sum t1);
-  if r.Wal.r_max_lsn < !acked then
-    Alcotest.failf "false ack: recovered to %d, acked %d" r.Wal.r_max_lsn !acked
+  (* ENOSPC destroys nothing already durable: the live log passes the
+     full oracle with everything acknowledged as its floor *)
+  ignore (verify_ok ~io:(Sim_fs.io fs) ~acked_floor:!acked "live log")
 
 (* ---- engine degradation: fsync failure, then crash ---- *)
 
 let test_fsync_fail_then_crash () =
   (* Phase 1: a clean history on the simulated device, fully durable. *)
   let fs = Sim_fs.create () in
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let w = Wal.create (Wal.config ~io:(Sim_fs.io fs) ~dir:"wal" ()) store in
   let cc = Dbx.Cc_2plsf.create tbl in
   Dbx.Cc_2plsf.set_wal cc (Some w);
   let tid = Util.Tid.get () in
-  let rng = Util.Sprng.create 5 in
-  for _ = 1 to 60 do
-    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-    ignore
-      (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b
-         ~amount:(1 + Util.Sprng.int rng 16))
-  done;
+  transfers cc ~seed:5 ~n:60;
   let acked = Wal.flushed_lsn w in
   Dbx.Cc_2plsf.set_wal cc None;
   Wal.stop w;
@@ -330,7 +293,7 @@ let test_fsync_fail_then_crash () =
     | w2 ->
         let cc2 = Dbx.Cc_2plsf.create tbl in
         Dbx.Cc_2plsf.set_wal cc2 (Some w2);
-        let degraded, _ = transfer_until_degraded cc2 ~seed:77 ~cap:4_000 in
+        let degraded = transfer_until_degraded cc2 ~seed:77 ~cap:4_000 in
         Dbx.Cc_2plsf.set_wal cc2 None;
         Wal.stop w2;
         if degraded then begin
@@ -347,17 +310,9 @@ let test_fsync_fail_then_crash () =
      survive every materialization. *)
   for m = 1 to 5 do
     let cio = Sim_fs.io (Sim_fs.crash fs ~seed:(0xCAFE + m)) in
-    let t1 = make_table () in
-    match Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t1) with
-    | exception Wal.Corrupt msg ->
-        Alcotest.failf "materialization %d refused: %s" m msg
-    | r ->
-        check Alcotest.int
-          (Printf.sprintf "materialization %d: conservation" m)
-          (rows * init_balance) (balance_sum t1);
-        if r.Wal.r_max_lsn < acked then
-          Alcotest.failf "materialization %d: false ack (%d < %d)" m
-            r.Wal.r_max_lsn acked
+    ignore
+      (verify_ok ~io:cio ~acked_floor:acked
+         (Printf.sprintf "materialization %d" m))
   done
 
 (* ---- a leader that dies of a non-I/O exception ---- *)
@@ -377,7 +332,7 @@ let test_leader_exception_poisons () =
           { f with Wal_io.f_fsync = (fun () -> failwith "firmware bug") });
     }
   in
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let w = Wal.create (Wal.config ~io ~dir:"wal" ()) (Dbx.Cc_2plsf.wal_store tbl) in
   let tid = Util.Tid.get () in
   let commit () =
@@ -473,7 +428,7 @@ let stepped_history ~seed =
     let acked = match !wal with Some w -> Wal.flushed_lsn w | None -> 0 in
     snaps := (Sim_fs.snapshot fs, acked) :: !snaps
   in
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let w =
     Wal.create
       (Wal.config ~io:(hooked_io fs ~before) ~ckpt_every_bytes:2048 ~dir:"wal" ())
@@ -482,14 +437,7 @@ let stepped_history ~seed =
   wal := Some w;
   let cc = Dbx.Cc_2plsf.create tbl in
   Dbx.Cc_2plsf.set_wal cc (Some w);
-  let tid = Util.Tid.get () in
-  let rng = Util.Sprng.create seed in
-  for _ = 1 to 80 do
-    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-    ignore
-      (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b
-         ~amount:(1 + Util.Sprng.int rng 16))
-  done;
+  transfers cc ~seed ~n:80;
   Dbx.Cc_2plsf.set_wal cc None;
   Wal.stop w;
   let ckpts = List.assoc "checkpoints" (Wal.metrics w) in
@@ -505,21 +453,9 @@ let test_crash_at_every_io_step () =
     (fun step (snap, acked) ->
       for m = 0 to 2 do
         let cio = Sim_fs.io (Sim_fs.crash snap ~seed:((step * 31) + m)) in
-        let t1 = make_table () in
-        match Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t1) with
-        | exception Wal.Corrupt msg ->
-            Alcotest.failf "step %d (%s) mat %d refused: %s" step (List.nth ops step) m msg
-        | r ->
-            if balance_sum t1 <> rows * init_balance then
-              Alcotest.failf "step %d (%s) mat %d: conservation" step (List.nth ops step) m;
-            if r.Wal.r_max_lsn < acked then
-              Alcotest.failf "step %d (%s) mat %d: false ack (%d < %d)" step
-                (List.nth ops step) m r.Wal.r_max_lsn acked;
-            let t2 = make_table () in
-            ignore (Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t2));
-            if not (tables_equal t1 t2) then
-              Alcotest.failf "step %d (%s) mat %d: double replay differs" step
-                (List.nth ops step) m
+        ignore
+          (verify_ok ~io:cio ~acked_floor:acked
+             (Printf.sprintf "step %d (%s) mat %d" step (List.nth ops step) m))
       done)
     snaps
 
@@ -527,15 +463,16 @@ let test_crash_at_every_io_step () =
 
 (* Run a seeded history against the simulated device, snapshot the
    filesystem mid-flight (pending writes, pending namespace ops and
-   all), and check that EVERY crash materialization recovers
-   conservation-clean with byte-identical double replay.  Two
+   all), and check that EVERY crash materialization passes the full
+   recovery oracle, with the durability watermark at the snapshot as
+   its no-false-ack floor.  Two
    configurations: Sync_none on a single segment (nothing ever synced —
    maximal tearing surface), and the durable default with aggressive
    checkpointing (rotation, image rename and truncation dops in
    flight). *)
 let materializations_recover ~sync ~ckpt ~seed ~mats =
   let fs = Sim_fs.create () in
-  let tbl = make_table () in
+  let tbl = Durable.make_table ~rows in
   let store = Dbx.Cc_2plsf.wal_store tbl in
   let w =
     Wal.create
@@ -544,39 +481,25 @@ let materializations_recover ~sync ~ckpt ~seed ~mats =
   in
   let cc = Dbx.Cc_2plsf.create tbl in
   Dbx.Cc_2plsf.set_wal cc (Some w);
-  let tid = Util.Tid.get () in
-  let rng = Util.Sprng.create seed in
-  for _ = 1 to 150 do
-    let a = Util.Sprng.int rng rows and b = Util.Sprng.int rng rows in
-    ignore
-      (Dbx.Cc_2plsf.execute_transfer cc ~tid ~src:a ~dst:b
-         ~amount:(1 + Util.Sprng.int rng 16))
-  done;
+  transfers cc ~seed ~n:150;
   let snap = Sim_fs.snapshot fs in
+  (* Without fsync nothing is acknowledged as durable. *)
+  let acked = if sync = Wal.Sync_fsync then Wal.flushed_lsn w else 0 in
   Dbx.Cc_2plsf.set_wal cc None;
   Wal.stop w;
   for m = 0 to mats - 1 do
     let mseed = (seed * 1009) + m in
     let cio = Sim_fs.io (Sim_fs.crash snap ~seed:mseed) in
-    let t1 = make_table () in
-    match Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t1) with
-    | exception Wal.Corrupt msg ->
-        Alcotest.failf "seed %d mat %d refused: %s" seed m msg
-    | _ ->
-        check Alcotest.int
-          (Printf.sprintf "seed %d mat %d: conservation" seed m)
-          (rows * init_balance) (balance_sum t1);
-        let t2 = make_table () in
-        ignore (Wal.recover ~io:cio ~dir:"wal" (Dbx.Cc_2plsf.wal_store t2));
-        check Alcotest.bool
-          (Printf.sprintf "seed %d mat %d: double replay identical" seed m)
-          true (tables_equal t1 t2)
+    ignore
+      (verify_ok ~io:cio ~acked_floor:acked
+         (Printf.sprintf "seed %d mat %d" seed m))
   done;
   (* the untouched live log still recovers the full history *)
-  let t1 = make_table () in
-  ignore (Wal.recover ~io:(Sim_fs.io fs) ~dir:"wal" (Dbx.Cc_2plsf.wal_store t1));
+  let { Durable.table; _ } =
+    verify_ok ~io:(Sim_fs.io fs) ~acked_floor:150 "live log"
+  in
   check Alcotest.bool "live log recovers the live table" true
-    (tables_equal t1 tbl)
+    (Durable.tables_equal table tbl)
 
 let property_seeds = [ 201; 202; 203; 204; 205 ]
 
