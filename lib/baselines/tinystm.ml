@@ -370,7 +370,8 @@ let run tx read_only f =
         tx.restarts <- tx.restarts + 1;
         if tx.escalated then begin
           native_wait n ();
-          attempt (n + 1) (if telemetry then Obs.Telemetry.now_ns () else 0)
+          attempt (n + 1)
+            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
         end
         else begin
           match
@@ -383,14 +384,14 @@ let run tx read_only f =
           with
           | Cm.Retry ->
               attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
           | Cm.Escalate ->
               Cm.Fallback.acquire ();
               tx.escalated <- true;
               if telemetry then
                 Obs.Scope.event obs ~tid:tx.tid Obs.Events.Irrevocable_fallback;
               attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
         end
     | exception e ->
         tx.depth <- 0;

@@ -273,7 +273,8 @@ let run tx read_only f =
           (* Serial slow path: the fallback mutex keeps other escalated
              transactions out; retry unconditionally. *)
           native_wait n ();
-          attempt (n + 1) (if telemetry then Obs.Telemetry.now_ns () else 0)
+          attempt (n + 1)
+            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
         end
         else begin
           match
@@ -286,14 +287,14 @@ let run tx read_only f =
           with
           | Cm.Retry ->
               attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
           | Cm.Escalate ->
               Cm.Fallback.acquire ();
               tx.escalated <- true;
               if telemetry then
                 Obs.Scope.event obs ~tid:tx.tid Obs.Events.Irrevocable_fallback;
               attempt (n + 1)
-                (if telemetry then Obs.Telemetry.now_ns () else 0)
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
         end
     | exception e ->
         tx.depth <- 0;

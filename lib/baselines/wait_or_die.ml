@@ -177,7 +177,8 @@ let run tx f =
           (* Serial slow path: the kept (now oldest-aging) timestamp plus
              the fallback mutex guarantee eventual commit. *)
           wait_for_all_lower t tx;
-          attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+          attempt
+            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
         end
         else begin
           match
@@ -192,7 +193,9 @@ let run tx f =
           with
           | Cm.Retry ->
               tx.ctx.Rwl_sf.deadline_ns <- tx.ov.Cm.deadline;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+              attempt
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                 else 0)
           | Cm.Escalate ->
               Cm.Fallback.acquire ();
               tx.escalated <- true;
@@ -200,7 +203,9 @@ let run tx f =
               if telemetry then
                 Obs.Scope.event obs ~tid:tx.ctx.tid
                   Obs.Events.Irrevocable_fallback;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+              attempt
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                 else 0)
         end
     | exception e ->
         tx.depth <- 0;

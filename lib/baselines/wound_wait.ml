@@ -334,7 +334,8 @@ let run tx f =
             ~tid:tx.ctx.tid ~att_t0_ns:att_t0 tx.abort_reason;
         tx.restarts <- tx.restarts + 1;
         if tx.escalated then
-          attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+          attempt
+            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
         else begin
           match
             Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
@@ -352,7 +353,9 @@ let run tx f =
           with
           | Cm.Retry ->
               tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+              attempt
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                 else 0)
           | Cm.Escalate ->
               Cm.Fallback.acquire ();
               tx.escalated <- true;
@@ -360,7 +363,9 @@ let run tx f =
               if telemetry then
                 Obs.Scope.event obs ~tid:tx.ctx.tid
                   Obs.Events.Irrevocable_fallback;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+              attempt
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                 else 0)
         end
     | exception e ->
         tx.depth <- 0;

@@ -212,7 +212,8 @@ let run tx f =
              chaos-injected spurious failure can abort us; retry
              unconditionally — priority 1 wins every real conflict. *)
           Rwl_sf.wait_for_conflictor t tx.ctx;
-          attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+          attempt
+            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
         end
         else begin
           match
@@ -228,7 +229,9 @@ let run tx f =
           with
           | Cm.Retry ->
               tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+              attempt
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                 else 0)
           | Cm.Escalate ->
               (* Serial-irrevocable fallback (DESIGN.md §11): take the
                  zero mutex and the reserved priority, so the next attempt
@@ -242,7 +245,9 @@ let run tx f =
               if telemetry then
                 Obs.Scope.event obs ~tid:tx.ctx.tid
                   Obs.Events.Irrevocable_fallback;
-              attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+              attempt
+                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                 else 0)
         end
     | exception e ->
         tx.depth <- 0;

@@ -239,7 +239,9 @@ struct
             (* Serial slow path: only a chaos-injected spurious failure
                can abort us; retry unconditionally. *)
             Rwl_sf.wait_for_conflictor t tx.ctx;
-            attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+            attempt
+              (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+               else 0)
           end
           else begin
             match
@@ -252,7 +254,9 @@ struct
             with
             | Cm.Retry ->
                 tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-                attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+                attempt
+                  (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                   else 0)
             | Cm.Escalate ->
                 Rwl_sf.clear_announcement t tx.ctx;
                 Rwl_sf.zero_mutex_lock t;
@@ -262,7 +266,9 @@ struct
                 if telemetry then
                   Obs.Scope.event obs ~tid:tx.ctx.tid
                     Obs.Events.Irrevocable_fallback;
-                attempt (if telemetry then Obs.Telemetry.now_ns () else 0)
+                attempt
+                  (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+                   else 0)
           end
       | exception e ->
           tx.depth <- 0;

@@ -211,7 +211,7 @@ let execute t ~tid txn =
     do
       incr aborts;
       Rwl_sf.wait_for_conflictor t.locks p.ctx;
-      att_t0 := Obs.Telemetry.now_ns ()
+      att_t0 := Obs.Scope.retry_start obs ~tid
     done;
     Obs.Scope.txn_commit obs ~tid ~txn_t0_ns:txn_t0 ~att_t0_ns:!att_t0 ();
     !aborts
@@ -286,7 +286,7 @@ let execute_transfer t ~tid ~src ~dst ~amount =
     do
       incr aborts;
       Rwl_sf.wait_for_conflictor t.locks p.ctx;
-      att_t0 := Obs.Telemetry.now_ns ()
+      att_t0 := Obs.Scope.retry_start obs ~tid
     done;
     Obs.Scope.txn_commit obs ~tid ~txn_t0_ns:txn_t0 ~att_t0_ns:!att_t0 ();
     !aborts

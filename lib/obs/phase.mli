@@ -11,7 +11,9 @@ type t =
   | Read_lock_wait  (** read-lock slow-path wait loops *)
   | Write_lock_wait  (** write-lock slow-path wait loops *)
   | Conflictor_wait  (** post-abort wait for the conflicting transaction *)
-  | Backoff  (** contention-management sleeps between attempts *)
+  | Backoff
+      (** contention management between attempts: backoff sleeps and
+          the rest of the gap that a conflictor wait does not cover *)
   | Commit  (** commit step of the winning attempt *)
   | Wasted_retry  (** full duration of attempts that aborted (overlaps) *)
   | Fsync_wait  (** post-release wait for the WAL group-commit ack *)

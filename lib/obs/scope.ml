@@ -14,7 +14,10 @@
    scratch and attribute [attempt duration - waits] to [Body] (the commit
    step, when timed, is carved out of that into [Commit]).  Conflictor
    waits and contention-management backoffs happen *between* attempts and
-   feed their phases directly.  [Wasted_retry] additionally re-counts the
+   feed their phases directly; [txn_abort] marks where the gap starts and
+   [retry_start] charges whatever of it those waits did not cover (the
+   retry decision, and any preemption there) to [Backoff], so the gaps
+   tile too.  [Wasted_retry] additionally re-counts the
    whole duration of each aborted attempt; it overlaps the partition and
    is reported as a ratio, never summed with the rest. *)
 
@@ -25,6 +28,8 @@ type t = {
   events : Padded.t array; (* indexed by Events.event_index *)
   phases : Padded.t array; (* ns, indexed by Phase.index *)
   att_wait : Padded.t; (* per-attempt lock-wait ns scratch *)
+  gap_t0 : Padded.t; (* end of the thread's last aborted attempt *)
+  gap_mark : Padded.t; (* its between-attempt phase ns at that moment *)
   txn_ns_sum : Padded.t; (* exact total transaction ns (window) *)
   lock_wait_ns : Histogram.t;
   spin_iters : Histogram.t;
@@ -59,6 +64,8 @@ let create name =
       events = Array.init Events.num_events (fun _ -> Padded.create ());
       phases = Array.init Phase.num_phases (fun _ -> Padded.create ());
       att_wait = Padded.create ();
+      gap_t0 = Padded.create ();
+      gap_mark = Padded.create ();
       txn_ns_sum = Padded.create ();
       lock_wait_ns = Histogram.create ();
       spin_iters = Histogram.create ();
@@ -123,6 +130,14 @@ let lock_wait sc ~lock ~tid ~write ~t0_ns ~spins ~acquired =
       ~name:(if write then sc.trace_lockwait_w else sc.trace_lockwait_r)
       ~ts_ns:t0_ns ~dur_ns:dur
 
+(* Per-thread nanoseconds already charged to the phases that feed the gap
+   between two attempts. *)
+let between_attempts sc ~tid =
+  Padded.get sc.phases.(Phase.index Phase.Conflictor_wait) ~tid
+  + Padded.get sc.phases.(Phase.index Phase.Backoff) ~tid
+
+let padded_set p ~tid v = Padded.add p ~tid (v - Padded.get p ~tid)
+
 let txn_commit sc ~tid ~txn_t0_ns ~att_t0_ns ?commit_t0_ns () =
   let now = Telemetry.now_ns () in
   Histogram.record sc.txn_ns ~tid (now - txn_t0_ns);
@@ -146,10 +161,18 @@ let txn_abort sc ?(aborter = -1) ?(lock = -1) ~tid ~att_t0_ns reason =
   let waits = att_wait_take sc ~tid in
   phase_add sc ~tid Phase.Body (dur - waits);
   phase_add sc ~tid Phase.Wasted_retry dur;
+  padded_set sc.gap_t0 ~tid now;
+  padded_set sc.gap_mark ~tid (between_attempts sc ~tid);
   if !Telemetry.trace_on then
     Tracer.span ~tid
       ~name:sc.trace_aborts.(Events.abort_reason_index reason)
       ~ts_ns:att_t0_ns ~dur_ns:dur
+
+let retry_start sc ~tid =
+  let now = Telemetry.now_ns () in
+  let waited = between_attempts sc ~tid - Padded.get sc.gap_mark ~tid in
+  phase_add sc ~tid Phase.Backoff (now - Padded.get sc.gap_t0 ~tid - waited);
+  now
 
 (* One completed WAL durability wait.  Feeds the phase *and* the
    per-attempt scratch: the wait happens inside the attempt window (in

@@ -11,8 +11,11 @@
     Phase accounting (DESIGN.md §12): lock waits feed their phase and a
     per-thread per-attempt scratch; {!txn_commit}/{!txn_abort} take the
     scratch and attribute the remainder of the attempt to [Body] (and,
-    when the caller timed it, [Commit]).  {!Phase.Wasted_retry}
-    re-counts whole aborted attempts and overlaps the partition. *)
+    when the caller timed it, [Commit]).  Between attempts, conflictor
+    waits and backoff sleeps feed their phases and {!retry_start} charges
+    the rest of the gap to [Backoff], so the partition tiles the whole
+    transaction.  {!Phase.Wasted_retry} re-counts whole aborted attempts
+    and overlaps the partition. *)
 
 type t
 
@@ -73,7 +76,14 @@ val txn_abort :
     conflict cartography is on, additionally records one provenance edge
     (victim = [tid], [aborter] tid or -1 = unknown, [lock] id or -1)
     charging the attempt's duration to [lock] — so per-victim edge totals
-    always reconcile with the abort taxonomy. *)
+    always reconcile with the abort taxonomy.  Also marks the start of
+    the gap before the next attempt (see {!retry_start}). *)
+
+val retry_start : t -> tid:int -> int
+(** The start time of a retry after {!txn_abort}: returns now and charges
+    the gap since the abort, less the conflictor waits and backoff sleeps
+    recorded in it, to {!Phase.Backoff}.  Use the result as the next
+    attempt's [att_t0_ns]. *)
 
 val conflictor_wait : t -> tid:int -> t0_ns:int -> unit
 (** One post-abort wait-for-conflictor episode (event, phase, span). *)

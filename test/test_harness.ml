@@ -1,6 +1,6 @@
 (* Tests for the benchmark harness itself: execution, workload mixes,
-   latency collection, and a smoke pass of the set/map drivers for every
-   structure kind. *)
+   latency collection, a smoke pass of the set/map drivers for every
+   structure kind, and the shared transfer kernel and its audit. *)
 
 let check = Alcotest.check
 
@@ -121,6 +121,79 @@ let test_map_driver_smoke () =
   check Alcotest.string "mix" "1i/1r/98u" row.mix;
   if row.commits <= 0 then Alcotest.fail "no commits"
 
+(* ---- Transfer: the shared conserved-transfer kernel ---- *)
+
+module T = Harness.Transfer.Make (Twoplsf.Stm)
+
+let balances (t : T.t) =
+  Array.map
+    (fun tv -> Twoplsf.Stm.atomic (fun tx -> Twoplsf.Stm.read tx tv))
+    t.accounts
+
+(* [transfer] takes exactly one draw from the generator: a shadow stream
+   with the same seed predicts which calls are read-only, and every other
+   call with [a <> b] moves exactly [amt]. *)
+let test_transfer_one_draw () =
+  let n = 4 in
+  let t = T.create ~n ~initial:100 in
+  let rng = Util.Sprng.create 42 and shadow = Util.Sprng.create 42 in
+  let picks = Util.Sprng.create 7 in
+  let read_only = ref 0 and same = ref 0 in
+  for k = 1 to 400 do
+    let a = Util.Sprng.int picks n and b = Util.Sprng.int picks n in
+    let amt = 1 + (k mod 5) in
+    let before = balances t in
+    let ro = Util.Sprng.int shadow 8 = 0 in
+    if ro then incr read_only;
+    if a = b then incr same;
+    T.transfer t rng ~a ~b ~amt;
+    let expected = Array.copy before in
+    if (not ro) && a <> b then begin
+      expected.(a) <- expected.(a) - amt;
+      expected.(b) <- expected.(b) + amt
+    end;
+    check
+      (Alcotest.array Alcotest.int)
+      (Printf.sprintf "balances after call %d" k)
+      expected (balances t)
+  done;
+  if !read_only = 0 || !read_only > 400 / 4 then
+    Alcotest.failf "%d read-only calls of 400, expected about 50" !read_only;
+  if !same = 0 then Alcotest.fail "no a = b call exercised"
+
+let test_audit_detects_imbalance () =
+  let t = T.create ~n:8 ~initial:100 in
+  let a = T.audit t in
+  check Alcotest.int "total" 800 a.Harness.Transfer.total;
+  check Alcotest.int "expected" 800 a.Harness.Transfer.expected;
+  check Alcotest.bool "clean audit ok" true (Harness.Transfer.audit_ok a);
+  (* a write outside [transfer] breaks conservation *)
+  Twoplsf.Stm.atomic (fun tx -> Twoplsf.Stm.write tx t.accounts.(3) 99);
+  let a = T.audit t in
+  check Alcotest.int "total" 799 a.Harness.Transfer.total;
+  check Alcotest.bool "not conserved" false (Harness.Transfer.conserved a);
+  check Alcotest.bool "audit fails" false (Harness.Transfer.audit_ok a);
+  check Alcotest.int "no leaked lock" 0 a.Harness.Transfer.leaked
+
+(* Two domains of transfers over 4 accounts, for every STM. *)
+let test_transfer_conserves_all_stms () =
+  List.iter
+    (fun (module S : Stm_intf.STM) ->
+      let module T = Harness.Transfer.Make (S) in
+      let t = T.create ~n:4 ~initial:100 in
+      ignore
+        (Harness.Exec.run_each ~threads:2 (fun i ->
+             let rng = Util.Sprng.create (0x5EED + i) in
+             for _ = 1 to 300 do
+               let a = Util.Sprng.int rng 4 and b = Util.Sprng.int rng 4 in
+               T.transfer t rng ~a ~b ~amt:(1 + Util.Sprng.int rng 9)
+             done));
+      let a = T.audit t in
+      check Alcotest.int (S.name ^ ": conserved") 400 a.Harness.Transfer.total;
+      check Alcotest.int (S.name ^ ": no leaked lock") 0
+        a.Harness.Transfer.leaked)
+    Baselines.Registry.all
+
 let () =
   ignore (Util.Tid.register ());
   Alcotest.run "harness"
@@ -147,4 +220,13 @@ let () =
         List.map driver_smoke
           Harness.Driver.[ List_s; Hash_s; Skip_s; Zip_s; Ravl_s ]
         @ [ Alcotest.test_case "map bench" `Quick test_map_driver_smoke ] );
+      ( "transfer",
+        [
+          Alcotest.test_case "one draw, read-only one in eight" `Quick
+            test_transfer_one_draw;
+          Alcotest.test_case "audit detects imbalance" `Quick
+            test_audit_detects_imbalance;
+          Alcotest.test_case "conserves, every STM" `Quick
+            test_transfer_conserves_all_stms;
+        ] );
     ]

@@ -238,6 +238,41 @@ let test_phase_accounting_unit () =
   (* the abort also counted its reason *)
   check Alcotest.int "one abort" 1 (Obs.Scope.aborts_total sc)
 
+(* The gap between an aborted attempt and its retry: a conflictor wait
+   inside it keeps its phase, and [retry_start] charges the rest of the
+   gap — here 300 us of retry bookkeeping — to Backoff, so the partition
+   still tiles the transaction. *)
+let test_phase_retry_gap () =
+  Obs.Telemetry.enable ();
+  let sc = Obs.Scope.create "phase-gap" in
+  let tid = 0 in
+  let txn_t0 = Obs.Telemetry.now_ns () in
+  busy_wait_ns 100_000;
+  Obs.Scope.txn_abort sc ~tid ~att_t0_ns:txn_t0 Obs.Events.Write_lock_conflict;
+  busy_wait_ns 200_000;
+  let w0 = Obs.Telemetry.now_ns () in
+  busy_wait_ns 200_000;
+  Obs.Scope.conflictor_wait sc ~tid ~t0_ns:w0;
+  busy_wait_ns 100_000;
+  let att2 = Obs.Scope.retry_start sc ~tid in
+  busy_wait_ns 100_000;
+  Obs.Scope.txn_commit sc ~tid ~txn_t0_ns:txn_t0 ~att_t0_ns:att2 ();
+  let phases = Obs.Scope.phase_counts sc in
+  let get ph = List.assoc (Obs.Phase.label ph) phases in
+  let conflictor = get Obs.Phase.Conflictor_wait
+  and backoff = get Obs.Phase.Backoff in
+  if conflictor < 200_000 then
+    Alcotest.failf "conflictor-wait %d < its 200 us" conflictor;
+  if backoff < 300_000 then
+    Alcotest.failf "backoff %d < the 300 us of unwaited gap" backoff;
+  let total = Obs.Scope.txn_total_ns sc in
+  let part =
+    List.fold_left (fun acc ph -> acc + get ph) 0 Obs.Phase.partition
+  in
+  let ratio = float_of_int part /. float_of_int total in
+  if ratio < 0.95 || ratio > 1.05 then
+    Alcotest.failf "partition covers %.3f of txn wall-clock" ratio
+
 (* End-to-end: the instrumented 2PLSF run's partition must tile its
    transactions' wall-clock within 5% (the ISSUE acceptance bound). *)
 let test_phase_partition_contended () =
@@ -883,6 +918,8 @@ let () =
             test_phase_accounting_unit;
           Alcotest.test_case "contended partition tiles wall-clock" `Quick
             test_phase_partition_contended;
+          Alcotest.test_case "retry gap charged to backoff" `Quick
+            test_phase_retry_gap;
         ] );
       ( "gauges",
         [ Alcotest.test_case "named providers" `Quick test_gauge_providers ] );
