@@ -33,7 +33,6 @@ let () =
   let big = ref false in
   let quick = ref false in
   let no_bechamel = ref false in
-  let csv = ref "" in
   let runs = ref 1 in
   let telemetry = ref false in
   let trace = ref "" in
@@ -57,7 +56,6 @@ let () =
   let fallback = ref false in
   let no_fallback = ref false in
   let bench_out = ref "" in
-  let no_bench_out = ref false in
   let metrics_port = ref (-1) in
   let conflict_map = ref false in
   (* Hidden flags of the re-exec'd crash-soak child. *)
@@ -78,7 +76,6 @@ let () =
       ("--big", Arg.Set big, " paper-scale key ranges (10x larger)");
       ("--quick", Arg.Set quick, " fast smoke pass (threads 1,2; 0.15s)");
       ("--no-bechamel", Arg.Set no_bechamel, " skip the per-op suite");
-      ("--csv", Arg.Set_string csv, "FILE  also write data rows as CSV");
       ( "--runs",
         Arg.Set_int runs,
         "N  average each set/map data point over N runs (default 1; paper: 5)"
@@ -147,11 +144,8 @@ let () =
          default)" );
       ( "--bench-out",
         Arg.Set_string bench_out,
-        "FILE  benchmark-artifact JSON path (default: first free \
-         BENCH_<n>.json)" );
-      ( "--no-bench-out",
-        Arg.Set no_bench_out,
-        " skip writing the benchmark artifact" );
+        "FILE  write the run's rows as a BENCH artifact (JSON schema v3, \
+         DESIGN.md §12.2)" );
       ( "--metrics-port",
         Arg.Set_int metrics_port,
         "PORT  serve OpenMetrics on http://127.0.0.1:PORT/metrics for the \
@@ -249,7 +243,6 @@ let () =
     Twoplsf_obs.Monitor.start ~interval_ms:!monitor_interval
       ?out_path:(if !monitor_out = "" then None else Some !monitor_out)
       ~console:!monitor_console ();
-  if !csv <> "" then Harness.Report.set_csv !csv;
   (* One immutable policy record for every overload knob, installed before
      any worker domain exists (DESIGN.md §11). *)
   let policy =
@@ -359,19 +352,15 @@ let () =
     List.iter
       (fun (cls, n) -> Printf.printf "  chaos %-9s %d\n%!" cls n)
       (Chaos.counts ());
-  Harness.Report.close_csv ();
-  if (not !no_bench_out) && Harness.Bench_artifact.any () then begin
-    let path =
-      if !bench_out <> "" then !bench_out
-      else Harness.Bench_artifact.default_path ()
-    in
+  if !bench_out <> "" then begin
     let flags =
       String.concat " " (List.tl (Array.to_list Sys.argv))
     in
-    Harness.Bench_artifact.write ~path ~flags;
-    Printf.printf "\nBenchmark artifact: %s\n%!" path;
+    Harness.Bench_artifact.write ~path:!bench_out ~flags;
+    Printf.printf "\nBenchmark artifact: %s\n%!" !bench_out;
     if !conflict_map then
-      Printf.printf "Conflict map: render with `conflictmap %s`\n%!" path
+      Printf.printf "Conflict map: render with `conflictmap %s`\n%!"
+        !bench_out
   end;
   if Twoplsf_obs.Exporter.running () then Twoplsf_obs.Exporter.stop ();
   if monitoring then begin

@@ -1,5 +1,5 @@
 (* conflictmap — render the conflict-cartography section of a
-   BENCH_*.json artifact (schema v2, produced by `bench --conflict-map`)
+   BENCH_*.json artifact (schema v2+, from `bench --conflict-map --bench-out`)
    as a ranked per-lock hotspot table plus the victim×aborter abort
    heatmap (DESIGN.md §13).
 

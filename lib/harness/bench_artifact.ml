@@ -1,12 +1,13 @@
-(* The schema-versioned BENCH_<n>.json benchmark artifact (DESIGN.md
+(* The schema-versioned BENCH benchmark artifact, a JSON file (DESIGN.md
    §12): every figure / overload run records its rows here and the bench
-   CLI writes one machine-readable file per invocation, which
-   [Benchdiff] (bin/benchdiff.exe) compares across commits.
+   CLI writes them to one machine-readable file when asked to
+   ([--bench-out FILE]).  The conflict-map renderer and the crash and
+   disk soaks' CI checks read it; speed regressions are judged by
+   perfbench, not by comparing artifacts.
 
    Recording happens on the main thread (the report printer), so plain
-   mutable lists suffice.  Schema changes must bump [schema_version];
-   the comparator warns (and skips absent fields) across known versions
-   rather than guessing silently.
+   mutable lists suffice.  Schema changes must bump [schema_version] so
+   readers can refuse a document they do not understand.
 
    v1 -> v2: added the "conflicts" section (per-scope conflict
    cartography: hot-lock sketch, abort-provenance matrix, DESIGN.md
@@ -52,10 +53,6 @@ let reset () =
   overload_rows := [];
   wal_counters := []
 
-let any () =
-  !rows <> [] || !latency_rows <> [] || !overload_rows <> []
-  || !wal_counters <> []
-
 let record_row ~figure (r : Driver.row) = rows := (figure, r) :: !rows
 
 let record_latency ~figure ~stm ~threads ~throughput ~p50_ms ~p90_ms ~p99_ms
@@ -92,32 +89,32 @@ let record_overload ~stm ~ops ~starved ~deadline_raises ~fallbacks ~leaked
 
 let record_wal counters = wal_counters := counters
 
-(* Best-effort commit id: .git/HEAD, following one level of symref. *)
+(* Best-effort commit id: .git/HEAD, following one level of symref to
+   the loose ref file or, once [git pack-refs] has moved it, to its
+   "<hash> <ref>" line in .git/packed-refs. *)
 let commit_id () =
-  let read_line_of path =
-    match open_in path with
-    | ic ->
-        let line = try input_line ic with End_of_file -> "" in
-        close_in ic;
-        Some (String.trim line)
-    | exception Sys_error _ -> None
+  let read path =
+    try Some (In_channel.with_open_text path In_channel.input_all)
+    with Sys_error _ -> None
   in
-  match read_line_of ".git/HEAD" with
+  let lines s = List.map String.trim (String.split_on_char '\n' s) in
+  let packed r =
+    Option.bind (read ".git/packed-refs") (fun s ->
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ hash; name ] when name = r -> Some hash
+            | _ -> None)
+          (lines s))
+  in
+  match Option.map (fun s -> List.hd (lines s)) (read ".git/HEAD") with
   | None -> "unknown"
-  | Some head ->
-      if String.length head > 5 && String.sub head 0 5 = "ref: " then
-        let r = String.sub head 5 (String.length head - 5) in
-        Option.value (read_line_of (Filename.concat ".git" r))
-          ~default:"unknown"
-      else head
-
-(* First free BENCH_<n>.json in the working directory. *)
-let default_path () =
-  let rec go n =
-    let p = Printf.sprintf "BENCH_%d.json" n in
-    if Sys.file_exists p then go (n + 1) else p
-  in
-  go 1
+  | Some head when String.starts_with ~prefix:"ref: " head -> (
+      let r = String.sub head 5 (String.length head - 5) in
+      match read (Filename.concat ".git" r) with
+      | Some s -> List.hd (lines s)
+      | None -> Option.value (packed r) ~default:"unknown")
+  | Some head -> head
 
 let phase_sum keys phases =
   List.fold_left
@@ -292,8 +289,7 @@ let write ~path ~flags =
         ("conflicts", Json.Arr (json_of_conflicts ()));
       ]
       @
-      (* Absent (not empty) when the run had no WAL: benchdiff treats a
-         one-sided wal section as a warning-and-skip, like conflicts. *)
+      (* Absent (not empty) when the run had no WAL. *)
       if !wal_counters = [] then []
       else
         [

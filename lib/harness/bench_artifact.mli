@@ -1,10 +1,10 @@
-(** The schema-versioned BENCH_<n>.json benchmark artifact (DESIGN.md
+(** The schema-versioned BENCH benchmark artifact, a JSON file (DESIGN.md
     §12).
 
     {!Report.row} records every figure data row here (and the overload /
-    latency runners record theirs); the bench CLI calls {!write} once at
-    exit, producing the machine-readable artifact [bin/benchdiff.exe]
-    compares across commits.  Rows carry throughput, commit/abort/clock
+    latency runners record theirs); given [--bench-out FILE], the bench
+    CLI calls {!write} once at exit.  [bin/conflictmap.exe] renders the
+    result.  Rows carry throughput, commit/abort/clock
     counters and — when telemetry was on — p50/p99/p999 transaction
     latency, the abort taxonomy, the phase decomposition with its
     coverage ratio (partition-sum / txn_total_ns) and the wasted-retry
@@ -13,7 +13,6 @@
 val schema_version : int
 
 val reset : unit -> unit
-val any : unit -> bool
 
 val record_row : figure:string -> Driver.row -> unit
 
@@ -48,11 +47,10 @@ val record_wal : (string * int) list -> unit
     recording; the section is omitted from the artifact when nothing
     was recorded. *)
 
-val default_path : unit -> string
-(** First free [BENCH_<n>.json] in the working directory. *)
-
 val commit_id : unit -> string
-(** Best-effort git HEAD commit ("unknown" outside a checkout). *)
+(** Best-effort git HEAD commit of the checkout in the working directory:
+    the loose ref HEAD names, else its entry in [.git/packed-refs]
+    ("unknown" outside a checkout). *)
 
 val write : path:string -> flags:string -> unit
 (** Write the artifact (schema version, commit, [flags] = the CLI

@@ -2,8 +2,8 @@
    has no JSON library, by design — see the repo's zero-dependency rule).
    Covers exactly what the BENCH artifacts and telemetry dumps need:
    objects, arrays, strings, numbers, booleans, null.  \uXXXX escapes
-   outside the artifacts' ASCII field names are not reconstructed (the
-   writer below never emits them). *)
+   decode to UTF-8 (the writer emits them for control characters); a
+   surrogate half decodes to U+FFFD.  Non-finite numbers write as null. *)
 
 type t =
   | Null
@@ -55,10 +55,20 @@ let parse (s : string) : t =
           | 'b' -> Buffer.add_char b '\b'
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
+              let code = ref 0 in
               for _ = 1 to 4 do
-                advance ()
+                advance ();
+                let d =
+                  match peek () with
+                  | '0' .. '9' as c -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "bad escape"
+                in
+                code := (!code * 16) + d
               done;
-              Buffer.add_char b '?'
+              Buffer.add_utf_8_uchar b
+                (if Uchar.is_valid !code then Uchar.of_int !code else Uchar.rep)
           | _ -> fail "bad escape");
           advance ();
           go ()
@@ -160,12 +170,10 @@ let mem obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
 let str v = match v with Str s -> Some s | _ -> None
 let num v = match v with Num f -> Some f | _ -> None
 let arr v = match v with Arr l -> Some l | _ -> None
-let obj v = match v with Obj kvs -> Some kvs | _ -> None
 
 let str_field o k = Option.bind (mem o k) str
 let num_field o k = Option.bind (mem o k) num
 let arr_field o k = Option.bind (mem o k) arr
-let obj_field o k = Option.bind (mem o k) obj
 
 let int_field o k = Option.map int_of_float (num_field o k)
 
@@ -189,6 +197,7 @@ let rec write b v =
   match v with
   | Null -> Buffer.add_string b "null"
   | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Num f when not (Float.is_finite f) -> Buffer.add_string b "null"
   | Num f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string b (Printf.sprintf "%.0f" f)

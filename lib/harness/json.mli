@@ -1,5 +1,5 @@
 (** Minimal hand-rolled JSON (the build has no JSON library): enough for
-    the BENCH_*.json artifacts and their comparator. *)
+    the BENCH_*.json artifacts, [telemetry.json] and schedule traces. *)
 
 type t =
   | Null
@@ -19,20 +19,16 @@ val parse_file : string -> t
 (** {2 Accessors} — [None] on missing key or wrong shape. *)
 
 val mem : t -> string -> t option
-val str : t -> string option
-val num : t -> float option
-val arr : t -> t list option
-val obj : t -> (string * t) list option
 val str_field : t -> string -> string option
 val num_field : t -> string -> float option
 val int_field : t -> string -> int option
 val arr_field : t -> string -> t list option
-val obj_field : t -> string -> (string * t) list option
 
 (** {2 Writing} *)
 
 val to_string : t -> string
-(** Compact (single-line) rendering; integral floats print as integers. *)
+(** Compact (single-line) rendering; integral floats print as integers,
+    non-finite ones as [null]. *)
 
 val of_counts : (string * int) list -> t
 (** Labelled counts as an object of integer fields. *)

@@ -1,37 +1,4 @@
-let csv_chan : out_channel option ref = ref None
 let current_figure = ref ""
-
-let set_csv path =
-  let oc = open_out path in
-  output_string oc
-    "figure,stm,structure,workload,threads,throughput,commits,aborts,clock_ops,p50_ms,p90_ms,p99_ms,max_ms,ar_read_lock,ar_write_lock,ar_preempt,ar_read_valid,ar_commit_lock,ar_commit_valid,ar_deadline,ar_user\n";
-  csv_chan := Some oc
-
-let num_reason_cols = Twoplsf_obs.Events.num_abort_reasons
-
-(* The trailing abort-reason CSV cells, in taxonomy order (all empty when
-   the run had no telemetry). *)
-let reason_cells reasons =
-  if reasons = [] then String.concat "" (List.init num_reason_cols (fun _ -> ","))
-  else
-    List.fold_left (fun acc (_, n) -> acc ^ "," ^ string_of_int n) "" reasons
-
-let close_csv () =
-  match !csv_chan with
-  | Some oc ->
-      close_out oc;
-      csv_chan := None
-  | None -> ()
-
-let csv_line fmt =
-  Printf.ksprintf
-    (fun line ->
-      match !csv_chan with
-      | Some oc ->
-          output_string oc line;
-          output_char oc '\n'
-      | None -> ())
-    fmt
 
 let figure_header ~id ~title =
   current_figure := id;
@@ -67,10 +34,7 @@ let row (r : Driver.row) =
     Printf.printf "  phases: %s  p50=%s p99=%s\n%!" phases
       (Twoplsf_obs.Histogram.pp_ns r.telemetry.p50_ns)
       (Twoplsf_obs.Histogram.pp_ns r.telemetry.p99_ns);
-  Bench_artifact.record_row ~figure:!current_figure r;
-  csv_line "%s,%s,%s,%s,%d,%.0f,%d,%d,%d,,,,%s" !current_figure r.stm
-    r.structure r.mix r.threads r.throughput r.commits r.aborts r.clock_ops
-    (reason_cells r.abort_reasons)
+  Bench_artifact.record_row ~figure:!current_figure r
 
 let latency_header () =
   Printf.printf "%-12s %8s %14s %12s %12s %12s %12s\n%!" "stm" "threads"
@@ -83,77 +47,46 @@ let latency_row ~stm ~threads ~throughput ~p50 ~p90 ~p99 ~max =
     throughput (ms p50) (ms p90) (ms p99) (ms max);
   Bench_artifact.record_latency ~figure:!current_figure ~stm ~threads
     ~throughput ~p50_ms:(ms p50) ~p90_ms:(ms p90) ~p99_ms:(ms p99)
-    ~max_ms:(ms max);
-  csv_line "%s,%s,,,%d,%.0f,,,,%.4f,%.4f,%.4f,%.4f%s" !current_figure stm
-    threads throughput (ms p50) (ms p90) (ms p99) (ms max) (reason_cells [])
+    ~max_ms:(ms max)
 
 (* ---- Per-run telemetry JSON dump ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_histogram buckets =
+  let int n = Json.Num (float_of_int n) in
+  let upper p =
+    int (Twoplsf_obs.Histogram.percentile_upper_of_buckets buckets p)
+  in
+  Json.Obj
+    [
+      ("total", int (Array.fold_left ( + ) 0 buckets));
+      ("p50_upper", upper 50.);
+      ("p99_upper", upper 99.);
+      ("buckets", Json.Arr (Array.to_list (Array.map int buckets)));
+    ]
 
-let json_counts b counts =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (label, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%d" (json_escape label) n)
-    counts;
-  Buffer.add_char b '}'
-
-let json_histogram b buckets =
-  let total = Array.fold_left ( + ) 0 buckets in
-  Buffer.add_string b "{\"total\":";
-  Buffer.add_string b (string_of_int total);
-  Buffer.add_string b ",\"p50_upper\":";
-  Buffer.add_string b
-    (string_of_int (Twoplsf_obs.Histogram.percentile_upper_of_buckets buckets 50.));
-  Buffer.add_string b ",\"p99_upper\":";
-  Buffer.add_string b
-    (string_of_int (Twoplsf_obs.Histogram.percentile_upper_of_buckets buckets 99.));
-  Buffer.add_string b ",\"buckets\":[";
-  Array.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int n))
-    buckets;
-  Buffer.add_string b "]}"
+let json_of_scope sc =
+  let module S = Twoplsf_obs.Scope in
+  Json.Obj
+    [
+      ("name", Json.Str (S.name sc));
+      ("abort_reasons", Json.of_counts (S.cumulative_abort_counts sc));
+      ("events", Json.of_counts (S.cumulative_event_counts sc));
+      ("phases_ns", Json.of_counts (S.cumulative_phase_counts sc));
+      ("txn_total_ns", Json.Num (float_of_int (S.cumulative_txn_total_ns sc)));
+      ( "histograms",
+        Json.Obj
+          [
+            ("lock_wait_ns", json_histogram (S.hist_lock_wait sc));
+            ("spin_iters", json_histogram (S.hist_spins sc));
+            ("txn_ns", json_histogram (S.hist_txn sc));
+          ] );
+    ]
 
 let write_telemetry_json ~path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"scopes\":[";
-  List.iteri
-    (fun i sc ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"name\":\"%s\",\"abort_reasons\":"
-        (json_escape (Twoplsf_obs.Scope.name sc));
-      json_counts b (Twoplsf_obs.Scope.cumulative_abort_counts sc);
-      Buffer.add_string b ",\"events\":";
-      json_counts b (Twoplsf_obs.Scope.cumulative_event_counts sc);
-      Buffer.add_string b ",\"phases_ns\":";
-      json_counts b (Twoplsf_obs.Scope.cumulative_phase_counts sc);
-      Printf.bprintf b ",\"txn_total_ns\":%d"
-        (Twoplsf_obs.Scope.cumulative_txn_total_ns sc);
-      Buffer.add_string b ",\"histograms\":{\"lock_wait_ns\":";
-      json_histogram b (Twoplsf_obs.Scope.hist_lock_wait sc);
-      Buffer.add_string b ",\"spin_iters\":";
-      json_histogram b (Twoplsf_obs.Scope.hist_spins sc);
-      Buffer.add_string b ",\"txn_ns\":";
-      json_histogram b (Twoplsf_obs.Scope.hist_txn sc);
-      Buffer.add_string b "}}")
-    (Twoplsf_obs.Scope.all ());
-  Buffer.add_string b "]}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc b;
-  close_out oc
+  let doc =
+    Json.Obj
+      [ ("scopes", Json.Arr (List.map json_of_scope (Twoplsf_obs.Scope.all ()))) ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n')

@@ -1,11 +1,5 @@
-(** Aligned-table output for the figure reproductions, with optional CSV
-    teeing for downstream plotting. *)
-
-val set_csv : string -> unit
-(** Also append every data row to this CSV file (created with a header
-    line).  Call once, before the first row. *)
-
-val close_csv : unit -> unit
+(** Aligned-table output for the figure reproductions; every data row is
+    also recorded in {!Bench_artifact}. *)
 
 val figure_header : id:string -> title:string -> unit
 (** Print a banner naming the paper figure being regenerated. *)

@@ -1,6 +1,6 @@
 (* The fixed event taxonomy shared by every instrumented concurrency
    control.  Keep these closed variants in sync with the label/index
-   functions below: the CSV columns and JSON dump key on the labels, and
+   functions below: the BENCH artifact and JSON dump key on the labels, and
    the per-scope counter arrays are indexed by the *_index functions. *)
 
 type abort_reason =

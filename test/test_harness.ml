@@ -1,6 +1,8 @@
 (* Tests for the benchmark harness itself: execution, workload mixes,
    latency collection, a smoke pass of the set/map drivers for every
-   structure kind, and the shared transfer kernel and its audit. *)
+   structure kind, the shared transfer kernel and its audit, and the
+   JSON outputs (the hand-rolled JSON round-trip, the BENCH artifact
+   writer's schema, its commit id and the telemetry.json dump). *)
 
 let check = Alcotest.check
 
@@ -194,6 +196,465 @@ let test_transfer_conserves_all_stms () =
         a.Harness.Transfer.leaked)
     Baselines.Registry.all
 
+(* ---- JSON outputs ---- *)
+
+module J = Harness.Json
+module A = Harness.Bench_artifact
+
+let rec json_eq a b =
+  match (a, b) with
+  | J.Null, J.Null -> true
+  | J.Bool x, J.Bool y -> x = y
+  | J.Num x, J.Num y -> Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
+  | J.Str x, J.Str y -> x = y
+  | J.Arr x, J.Arr y ->
+      List.length x = List.length y && List.for_all2 json_eq x y
+  | J.Obj x, J.Obj y ->
+      List.length x = List.length y
+      && List.for_all2
+           (fun (k1, v1) (k2, v2) -> k1 = k2 && json_eq v1 v2)
+           x y
+  | _ -> false
+
+let test_json_roundtrip () =
+  let doc =
+    J.Obj
+      [
+        ("s", J.Str "a \"quoted\"\nstring");
+        ("i", J.Num 42.);
+        ("f", J.Num 3.125);
+        ("neg", J.Num (-7.));
+        ("b", J.Bool true);
+        ("n", J.Null);
+        ("a", J.Arr [ J.Num 1.; J.Str "x"; J.Obj []; J.Arr [] ]);
+      ]
+  in
+  let s = J.to_string doc in
+  if not (json_eq doc (J.parse s)) then
+    Alcotest.failf "round-trip mismatch: %s" s;
+  (* integral floats print without a fractional part *)
+  if not (String.length s > 0 && J.to_string (J.Num 42.) = "42") then
+    Alcotest.failf "integral float printed as %s" (J.to_string (J.Num 42.));
+  match J.parse "{\"x\": [1, 2,]}" with
+  | exception J.Parse_error _ -> ()
+  | _ -> Alcotest.fail "accepted trailing comma"
+
+let test_json_parse_errors () =
+  List.iter
+    (fun input ->
+      match J.parse input with
+      | exception J.Parse_error msg -> (
+          match String.split_on_char ' ' msg |> List.rev with
+          | off :: "at" :: _ :: _ when int_of_string_opt off <> None -> ()
+          | _ -> Alcotest.failf "%S: error without an offset: %s" input msg)
+      | v -> Alcotest.failf "%S accepted as %s" input (J.to_string v))
+    [
+      "";
+      "{";
+      "{\"a\" 1}";
+      "{\"a\": 1,}";
+      "[1 2]";
+      "\"unterminated";
+      "\"bad \\q escape\"";
+      "\"\\u12G4\"";
+      "\"\\u12\"";
+      "tru";
+      "nul";
+      "-";
+      "1.2.3";
+      "{} {}";
+      "@";
+    ]
+
+(* The writer escapes control characters as \u00XX; the parser must
+   decode them back rather than drop them. *)
+let test_json_control_chars () =
+  let s = "tab\there\r\001\031 \"q\" \\ /" in
+  let printed = J.to_string (J.Str s) in
+  String.iter
+    (fun c ->
+      if Char.code c < 0x20 then
+        Alcotest.failf "raw control character in %S" printed)
+    printed;
+  check Alcotest.string "round-trip" s
+    (match J.parse printed with J.Str x -> x | _ -> Alcotest.fail "not a string");
+  check Alcotest.string "\\u escapes decode to UTF-8" "A\xc3\xa9\xe2\x82\xac"
+    (match J.parse "\"\\u0041\\u00e9\\u20AC\"" with
+    | J.Str x -> x
+    | _ -> Alcotest.fail "not a string");
+  check Alcotest.string "lone surrogate is U+FFFD" "\xef\xbf\xbd"
+    (match J.parse "\"\\ud800\"" with
+    | J.Str x -> x
+    | _ -> Alcotest.fail "not a string")
+
+let test_json_numbers () =
+  let parsed s =
+    match J.parse s with J.Num f -> f | _ -> Alcotest.failf "%s: not a number" s
+  in
+  List.iter
+    (fun (s, f) -> check (Alcotest.float 1e-12) s f (parsed s))
+    [ ("0", 0.); ("-0.5", -0.5); ("1e3", 1000.); ("2E-2", 0.02);
+      ("1.5e+2", 150.) ];
+  List.iter
+    (fun (f, s) -> check Alcotest.string s s (J.to_string (J.Num f)))
+    [ (-7., "-7"); (0.125, "0.125"); (1234567.891, "1.23457e+06");
+      (1e15, "1e+15"); (Float.nan, "null"); (Float.infinity, "null");
+      (Float.neg_infinity, "null") ];
+  (* every printed number parses back *)
+  List.iter
+    (fun f ->
+      let printed = J.to_string (J.Arr [ J.Num f ]) in
+      match J.parse printed with
+      | J.Arr [ J.Num g ] when Float.abs (g -. f) <= 1e-5 *. Float.abs f -> ()
+      | J.Arr [ J.Null ] when not (Float.is_finite f) -> ()
+      | _ -> Alcotest.failf "%s does not parse back" printed)
+    [ 3.; 1e20; -2.5e-7; 123456.75; Float.nan ]
+
+let test_json_accessors () =
+  let d =
+    J.parse
+      "{\"s\": \"x\", \"n\": 2.9, \"a\": [1], \"o\": {\"k\": null}, \
+       \"dup\": 1, \"dup\": 2}"
+  in
+  let opt_s = Alcotest.(option string)
+  and opt_i = Alcotest.(option int)
+  and opt_f = Alcotest.(option (float 0.)) in
+  check opt_s "str_field" (Some "x") (J.str_field d "s");
+  check opt_s "str_field on a number" None (J.str_field d "n");
+  check opt_s "missing key" None (J.str_field d "nope");
+  check opt_f "num_field" (Some 2.9) (J.num_field d "n");
+  check opt_f "num_field on a string" None (J.num_field d "s");
+  check opt_i "int_field truncates" (Some 2) (J.int_field d "n");
+  check opt_i "first duplicate wins" (Some 1) (J.int_field d "dup");
+  check Alcotest.(option int) "arr_field" (Some 1)
+    (Option.map List.length (J.arr_field d "a"));
+  check Alcotest.bool "arr_field on an object" true (J.arr_field d "o" = None);
+  check Alcotest.bool "nested null" true
+    (Option.bind (J.mem d "o") (fun o -> J.mem o "k") = Some J.Null);
+  check Alcotest.bool "mem on a non-object" true (J.mem (J.Arr []) "s" = None)
+
+let test_json_of_counts () =
+  let counts = [ ("write-lock-conflict", 3); ("read-lock-conflict", 0);
+                 ("starved", 12) ] in
+  let o = J.of_counts counts in
+  check Alcotest.string "rendering"
+    "{\"write-lock-conflict\":3,\"read-lock-conflict\":0,\"starved\":12}"
+    (J.to_string o);
+  check
+    Alcotest.(list (pair string (option int)))
+    "fields in order"
+    (List.map (fun (k, n) -> (k, Some n)) counts)
+    (List.map (fun (k, _) -> (k, J.int_field o k)) counts)
+
+let test_artifact_write () =
+  A.reset ();
+  let telemetry =
+    {
+      Harness.Driver.phases =
+        List.map
+          (fun ph ->
+            ( Twoplsf_obs.Phase.label ph,
+              match ph with
+              | Twoplsf_obs.Phase.Body -> 700
+              | Twoplsf_obs.Phase.Commit -> 300
+              | Twoplsf_obs.Phase.Wasted_retry -> 50
+              | _ -> 0 ))
+          Twoplsf_obs.Phase.all;
+      txn_total_ns = 1000;
+      p50_ns = 127;
+      p99_ns = 511;
+      p999_ns = 1023;
+    }
+  in
+  A.record_row ~figure:"Figure T"
+    {
+      Harness.Driver.stm = "2PLSF";
+      structure = "hash";
+      mix = "50u";
+      threads = 2;
+      throughput = 12345.;
+      commits = 100;
+      aborts = 7;
+      clock_ops = 3;
+      abort_reasons = [ ("write-lock-conflict", 7) ];
+      telemetry;
+    };
+  A.record_overload ~stm:"2PLSF" ~ops:500 ~starved:0 ~deadline_raises:1
+    ~fallbacks:2 ~leaked:0 ~sum_ok:true ~p50_ms:0.5 ~p99_ms:2.0 ~p999_ms:8.0;
+  A.record_wal [ ("crash_cycles", 5); ("killed", 4); ("records_replayed", 77) ];
+  let path = Filename.temp_file "bench_artifact" ".json" in
+  A.write ~path ~flags:"--quick --telemetry";
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      A.reset ())
+    (fun () ->
+      let d = J.parse_file path in
+      check (Alcotest.option Alcotest.int) "schema" (Some A.schema_version)
+        (J.int_field d "schema_version");
+      check (Alcotest.option Alcotest.string) "flags"
+        (Some "--quick --telemetry") (J.str_field d "flags");
+      let r =
+        match J.arr_field d "rows" with
+        | Some [ r ] -> r
+        | _ -> Alcotest.fail "expected exactly one row"
+      in
+      (match J.num_field r "phase_coverage" with
+      | Some cov when Float.abs (cov -. 1.0) <= 0.05 -> ()
+      | Some cov -> Alcotest.failf "phase_coverage %.3f out of tolerance" cov
+      | None -> Alcotest.fail "missing phase_coverage");
+      (match J.num_field r "wasted_retry_frac" with
+      | Some f when Float.abs (f -. 0.05) <= 1e-9 -> ()
+      | Some f -> Alcotest.failf "wasted_retry_frac %.4f, expected 0.05" f
+      | None -> Alcotest.fail "missing wasted_retry_frac");
+      match J.mem d "wal" with
+      | Some w ->
+          check (Alcotest.option Alcotest.int) "wal crash_cycles" (Some 5)
+            (J.int_field w "crash_cycles")
+      | None -> Alcotest.fail "missing wal section")
+
+(* [git pack-refs] (also run by [git gc]) moves loose refs into
+   .git/packed-refs; the commit id must still resolve, and a loose ref
+   written later wins over its packed line. *)
+let test_commit_id_packed_refs () =
+  let root = Filename.temp_dir "commit_id" "" in
+  let git = Filename.concat root ".git" in
+  let write path s = Out_channel.with_open_text path (fun oc -> output_string oc s) in
+  let packed = String.make 40 'a' and loose = String.make 40 'b' in
+  Sys.mkdir git 0o755;
+  write (Filename.concat git "HEAD") "ref: refs/heads/main\n";
+  write
+    (Filename.concat git "packed-refs")
+    (Printf.sprintf
+       "# pack-refs with: peeled fully-peeled sorted\n\
+        %s refs/heads/other\n%s refs/heads/main\n%s refs/tags/v1\n^%s\n"
+       (String.make 40 'c') packed (String.make 40 'd') (String.make 40 'e'));
+  let cwd = Sys.getcwd () in
+  let heads = Filename.concat git "refs/heads" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ Filename.concat heads "main"; Filename.concat git "HEAD";
+          Filename.concat git "packed-refs" ];
+      List.iter
+        (fun d -> if Sys.file_exists d then Sys.rmdir d)
+        [ heads; Filename.concat git "refs"; git; root ])
+    (fun () ->
+      Sys.chdir root;
+      check Alcotest.string "packed ref" packed (A.commit_id ());
+      Sys.mkdir (Filename.concat git "refs") 0o755;
+      Sys.mkdir heads 0o755;
+      write (Filename.concat heads "main") (loose ^ "\n");
+      check Alcotest.string "loose ref wins" loose (A.commit_id ()))
+
+(* A checkout with a detached HEAD stores the hash itself; outside a
+   checkout, or when the ref is neither loose nor packed, the id is
+   "unknown". *)
+let test_commit_id_detached_and_missing () =
+  let root = Filename.temp_dir "commit_id" "" in
+  let git = Filename.concat root ".git" in
+  let head = Filename.concat git "HEAD" in
+  let write path s = Out_channel.with_open_text path (fun oc -> output_string oc s) in
+  let hash = String.make 40 'f' in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      if Sys.file_exists head then Sys.remove head;
+      List.iter (fun d -> if Sys.file_exists d then Sys.rmdir d) [ git; root ])
+    (fun () ->
+      Sys.chdir root;
+      check Alcotest.string "outside a checkout" "unknown" (A.commit_id ());
+      Sys.mkdir git 0o755;
+      write head (hash ^ "\n");
+      check Alcotest.string "detached HEAD" hash (A.commit_id ());
+      write head "ref: refs/heads/gone\n";
+      check Alcotest.string "dangling ref" "unknown" (A.commit_id ()))
+
+let with_artifact f =
+  let path = Filename.temp_file "bench_artifact" ".json" in
+  A.write ~path ~flags:"--figure 3";
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      A.reset ())
+    (fun () -> f (J.parse_file path))
+
+let test_artifact_empty () =
+  A.reset ();
+  with_artifact (fun d ->
+      List.iter
+        (fun key ->
+          check Alcotest.(option int) (key ^ " empty") (Some 0)
+            (Option.map List.length (J.arr_field d key)))
+        [ "rows"; "latency_rows"; "overload" ];
+      check Alcotest.bool "conflicts is an array" true
+        (J.arr_field d "conflicts" <> None);
+      check Alcotest.bool "no wal section" true (J.mem d "wal" = None);
+      check Alcotest.bool "commit recorded" true (J.str_field d "commit" <> None);
+      check Alcotest.bool "telemetry flag" true
+        (match J.mem d "telemetry" with Some (J.Bool _) -> true | _ -> false);
+      match J.mem d "host" with
+      | Some h ->
+          check Alcotest.(option int) "word_size" (Some Sys.word_size)
+            (J.int_field h "word_size");
+          check Alcotest.(option string) "os" (Some Sys.os_type)
+            (J.str_field h "os")
+      | None -> Alcotest.fail "missing host")
+
+let test_artifact_record_order () =
+  A.reset ();
+  let row stm threads =
+    {
+      Harness.Driver.stm;
+      structure = "linked-list";
+      mix = "100l";
+      threads;
+      throughput = 1000. *. float_of_int threads;
+      commits = threads;
+      aborts = 0;
+      clock_ops = 0;
+      abort_reasons = [];
+      telemetry = Harness.Driver.no_telemetry;
+    }
+  in
+  A.record_row ~figure:"Figure 3" (row "2PLSF" 1);
+  A.record_row ~figure:"Figure 3" (row "TL2" 2);
+  A.record_row ~figure:"Figure 4" (row "2PLSF" 4);
+  A.record_latency ~figure:"Figure 8" ~stm:"2PLSF" ~threads:2 ~throughput:50.
+    ~p50_ms:0.25 ~p90_ms:0.5 ~p99_ms:1.5 ~max_ms:9.;
+  A.record_latency ~figure:"Figure 8" ~stm:"TL2" ~threads:2 ~throughput:40.
+    ~p50_ms:0.5 ~p90_ms:1. ~p99_ms:3. ~max_ms:12.;
+  A.record_overload ~stm:"2PLSF" ~ops:500 ~starved:0 ~deadline_raises:1
+    ~fallbacks:2 ~leaked:0 ~sum_ok:false ~p50_ms:0.5 ~p99_ms:2.0 ~p999_ms:8.0;
+  with_artifact (fun d ->
+      let rows key =
+        match J.arr_field d key with
+        | Some l -> l
+        | None -> Alcotest.failf "missing %s" key
+      in
+      check
+        Alcotest.(list (triple (option string) (option string) (option int)))
+        "rows in recording order"
+        [ (Some "Figure 3", Some "2PLSF", Some 1);
+          (Some "Figure 3", Some "TL2", Some 2);
+          (Some "Figure 4", Some "2PLSF", Some 4) ]
+        (List.map
+           (fun r ->
+             (J.str_field r "figure", J.str_field r "stm", J.int_field r "threads"))
+           (rows "rows"));
+      List.iter
+        (fun r ->
+          check Alcotest.bool "no telemetry fields without telemetry" true
+            (J.mem r "phase_coverage" = None && J.mem r "p99_ns" = None))
+        (rows "rows");
+      check
+        Alcotest.(list (pair (option string) (option (float 0.))))
+        "latency rows in recording order"
+        [ (Some "2PLSF", Some 1.5); (Some "TL2", Some 3.) ]
+        (List.map
+           (fun r -> (J.str_field r "stm", J.num_field r "p99_ms"))
+           (rows "latency_rows"));
+      match rows "overload" with
+      | [ o ] ->
+          check Alcotest.(option int) "fallbacks" (Some 2)
+            (J.int_field o "fallbacks");
+          check Alcotest.(option int) "deadline_raises" (Some 1)
+            (J.int_field o "deadline_raises");
+          check Alcotest.bool "sum_ok" true (J.mem o "sum_ok" = Some (J.Bool false))
+      | l -> Alcotest.failf "expected one overload entry, got %d" (List.length l))
+
+let test_artifact_wal_replaces () =
+  A.reset ();
+  A.record_wal [ ("crash_cycles", 5); ("killed", 4) ];
+  A.record_wal [ ("records_replayed", 9) ];
+  with_artifact (fun d ->
+      match J.mem d "wal" with
+      | Some (J.Obj kvs) ->
+          check
+            Alcotest.(list string)
+            "only the last recording" [ "records_replayed" ] (List.map fst kvs)
+      | _ -> Alcotest.fail "missing wal section");
+  with_artifact (fun d ->
+      check Alcotest.bool "reset drops the wal section" true (J.mem d "wal" = None))
+
+(* The dump is [Json.to_string] of the scopes: parse it back and compare
+   one scope's fields with what the scope itself reports. *)
+let test_telemetry_json () =
+  let module O = Twoplsf_obs in
+  O.Telemetry.enable ();
+  let sc = O.Scope.create "telemetry-json" in
+  let tid = 0 in
+  let t0 = O.Telemetry.now_ns () in
+  O.Scope.lock_wait sc ~lock:(-1) ~tid ~write:true ~t0_ns:t0 ~spins:5
+    ~acquired:true;
+  O.Scope.txn_abort sc ~tid ~att_t0_ns:t0 O.Events.Write_lock_conflict;
+  let att = O.Scope.retry_start sc ~tid in
+  O.Scope.txn_commit sc ~tid ~txn_t0_ns:t0 ~att_t0_ns:att ();
+  let path = Filename.temp_file "telemetry" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      O.Telemetry.disable ();
+      Sys.remove path)
+    (fun () ->
+      Harness.Report.write_telemetry_json ~path;
+      let scope =
+        Option.bind (J.arr_field (J.parse_file path) "scopes")
+          (List.find_opt (fun s ->
+               J.str_field s "name" = Some "telemetry-json"))
+        |> function
+        | Some s -> s
+        | None -> Alcotest.fail "scope missing from telemetry.json"
+      in
+      let field o k =
+        match J.mem o k with
+        | Some v -> v
+        | None -> Alcotest.failf "missing field %s" k
+      in
+      let int = function
+        | J.Num f -> int_of_float f
+        | _ -> Alcotest.fail "not a number"
+      in
+      let counts key expected =
+        match field scope key with
+        | J.Obj kvs ->
+            check
+              Alcotest.(list (pair string int))
+              key expected
+              (List.map (fun (k, v) -> (k, int v)) kvs)
+        | _ -> Alcotest.failf "%s is not an object" key
+      in
+      counts "abort_reasons" (O.Scope.cumulative_abort_counts sc);
+      counts "phases_ns" (O.Scope.cumulative_phase_counts sc);
+      check Alcotest.int "one write-lock-conflict abort" 1
+        (List.assoc
+           (O.Events.abort_reason_label O.Events.Write_lock_conflict)
+           (O.Scope.cumulative_abort_counts sc));
+      check Alcotest.int "txn_total_ns"
+        (O.Scope.cumulative_txn_total_ns sc)
+        (int (field scope "txn_total_ns"));
+      let hists = field scope "histograms" in
+      List.iter
+        (fun (key, buckets) ->
+          let h = field hists key in
+          check Alcotest.int (key ^ " total") 1 (int (field h "total"));
+          check Alcotest.int (key ^ " p99_upper")
+            (O.Histogram.percentile_upper_of_buckets buckets 99.)
+            (int (field h "p99_upper"));
+          match field h "buckets" with
+          | J.Arr l ->
+              check
+                Alcotest.(list int)
+                (key ^ " buckets") (Array.to_list buckets) (List.map int l)
+          | _ -> Alcotest.failf "%s buckets is not an array" key)
+        [
+          ("lock_wait_ns", O.Scope.hist_lock_wait sc);
+          ("spin_iters", O.Scope.hist_spins sc);
+          ("txn_ns", O.Scope.hist_txn sc);
+        ])
+
 let () =
   ignore (Util.Tid.register ());
   Alcotest.run "harness"
@@ -228,5 +689,30 @@ let () =
             test_audit_detects_imbalance;
           Alcotest.test_case "conserves, every STM" `Quick
             test_transfer_conserves_all_stms;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "parse errors name an offset" `Quick
+            test_json_parse_errors;
+          Alcotest.test_case "control characters round-trip" `Quick
+            test_json_control_chars;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "of_counts" `Quick test_json_of_counts;
+          Alcotest.test_case "artifact write" `Quick test_artifact_write;
+          Alcotest.test_case "commit id from packed-refs" `Quick
+            test_commit_id_packed_refs;
+          Alcotest.test_case "telemetry.json parses back" `Quick
+            test_telemetry_json;
+        ] );
+      ( "artifact",
+        [
+          Alcotest.test_case "commit id: detached HEAD, no checkout" `Quick
+            test_commit_id_detached_and_missing;
+          Alcotest.test_case "empty run" `Quick test_artifact_empty;
+          Alcotest.test_case "record order" `Quick test_artifact_record_order;
+          Alcotest.test_case "wal recording replaces" `Quick
+            test_artifact_wal_replaces;
         ] );
     ]
