@@ -131,7 +131,9 @@ let begin_attempt tx =
   tx.abort_reason <- Obs.Events.User_restart
 
 let release_locks tx =
-  Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.tbl tx.ctx w) tx.wset;
+  for i = 0 to Util.Vec.length tx.wset - 1 do
+    Rwl_sf.write_unlock tx.tbl tx.ctx (Util.Vec.get tx.wset i)
+  done;
   Rwl_sf.read_unlock_all tx.tbl tx.ctx
 
 (* Bucket 0 is derived as commits - sum(others) at read time so the common
@@ -151,7 +153,10 @@ let commit tx =
 
 let rollback tx =
   (* Undo newest-first *before* releasing any write lock. *)
-  Util.Vec.iter_rev (fun (W { tv; old }) -> tv.v <- old) tx.undo;
+  for i = Util.Vec.length tx.undo - 1 downto 0 do
+    let (W { tv; old }) = Util.Vec.get tx.undo i in
+    tv.v <- old
+  done;
   (* Chaos: delay-only site — an exception here would corrupt the
      rollback; [Chaos.point] never raises by contract. *)
   if !Chaos.on then Chaos.point Chaos.Mid_rollback;
@@ -169,94 +174,96 @@ let finish_escalation t tx =
     Rwl_sf.zero_mutex_unlock t
   end
 
+(* An attempt and, through its tail calls, the retries.  Top level, not a
+   closure inside [run], so that a transaction allocates no closure. *)
+let rec attempt tx f ~telemetry ~txn_t0 att_t0 =
+  let t = tx.tbl in
+  begin_attempt tx;
+  tx.depth <- 1;
+  match f tx with
+  | v ->
+      tx.depth <- 0;
+      if !Chaos.on then Chaos.point Chaos.Pre_commit;
+      let commit_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
+      commit tx;
+      finish_escalation t tx;
+      if telemetry then
+        Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
+          ~att_t0_ns:att_t0 ~commit_t0_ns:commit_t0 ();
+      v
+  | exception Restart ->
+      tx.depth <- 0;
+      rollback tx;
+      Stm_stats.abort stats ~tid:tx.ctx.tid;
+      if telemetry then begin
+        (* Provenance: the conflictor and lock the failed acquisition
+           recorded in the ctx; explicit user restarts have neither. *)
+        let aborter, lock =
+          match tx.abort_reason with
+          | Obs.Events.User_restart -> (-1, -1)
+          | _ -> (tx.ctx.o_tid, tx.ctx.o_lock)
+        in
+        Obs.Scope.txn_abort obs ~aborter ~lock ~tid:tx.ctx.tid
+          ~att_t0_ns:att_t0 tx.abort_reason
+      end;
+      tx.restarts <- tx.restarts + 1;
+      if tx.escalated || tx.irrevocable then begin
+        (* Already on the serial slow path (or §2.8 irrevocable): only a
+           chaos-injected spurious failure can abort us; retry
+           unconditionally — priority 1 wins every real conflict. *)
+        Rwl_sf.wait_for_conflictor t tx.ctx;
+        attempt tx f ~telemetry ~txn_t0
+          (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
+      end
+      else begin
+        match
+          Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
+            ~st:tx.ov
+            ~native_wait:(fun () -> Rwl_sf.wait_for_conflictor t tx.ctx)
+              (* Locks are already released; cleanup drops the priority
+                 announcement too so no other thread keeps deferring to
+                 a timestamp that will never commit. *)
+            ~cleanup:(fun () -> Rwl_sf.clear_announcement t tx.ctx)
+            ~reasons:(fun () ->
+              if telemetry then Obs.Scope.abort_counts obs else [])
+        with
+        | Cm.Retry ->
+            tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
+            attempt tx f ~telemetry ~txn_t0
+              (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+               else 0)
+        | Cm.Escalate ->
+            (* Serial-irrevocable fallback (DESIGN.md §11): take the
+               zero mutex and the reserved priority, so the next attempt
+               cannot lose a conflict and commits. *)
+            Rwl_sf.clear_announcement t tx.ctx;
+            Rwl_sf.zero_mutex_lock t;
+            Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
+            tx.escalated <- true;
+            tx.irrevocable <- true;
+            tx.ctx.deadline_ns <- 0;
+            if telemetry then
+              Obs.Scope.event obs ~tid:tx.ctx.tid
+                Obs.Events.Irrevocable_fallback;
+            attempt tx f ~telemetry ~txn_t0
+              (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
+               else 0)
+      end
+  | exception e ->
+      tx.depth <- 0;
+      rollback tx;
+      Rwl_sf.clear_announcement t tx.ctx;
+      finish_escalation t tx;
+      raise e
+
 let run tx f =
   tx.restarts <- 0;
   (* Irrevocable transactions (§2.8) are exempt from overload protection:
      they hold the zero mutex and must commit. *)
   tx.ctx.deadline_ns <- (if tx.irrevocable then 0 else Cm.begin_txn tx.ov);
-  let t = tx.tbl in
   let telemetry = !Obs.Telemetry.on in
   let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let rec attempt att_t0 =
-    begin_attempt tx;
-    tx.depth <- 1;
-    match f tx with
-    | v ->
-        tx.depth <- 0;
-        if !Chaos.on then Chaos.point Chaos.Pre_commit;
-        let commit_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-        commit tx;
-        finish_escalation t tx;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback tx;
-        Stm_stats.abort stats ~tid:tx.ctx.tid;
-        if telemetry then begin
-          (* Provenance: the conflictor and lock the failed acquisition
-             recorded in the ctx; explicit user restarts have neither. *)
-          let aborter, lock =
-            match tx.abort_reason with
-            | Obs.Events.User_restart -> (-1, -1)
-            | _ -> (tx.ctx.o_tid, tx.ctx.o_lock)
-          in
-          Obs.Scope.txn_abort obs ~aborter ~lock ~tid:tx.ctx.tid
-            ~att_t0_ns:att_t0 tx.abort_reason
-        end;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated || tx.irrevocable then begin
-          (* Already on the serial slow path (or §2.8 irrevocable): only a
-             chaos-injected spurious failure can abort us; retry
-             unconditionally — priority 1 wins every real conflict. *)
-          Rwl_sf.wait_for_conflictor t tx.ctx;
-          attempt
-            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(fun () -> Rwl_sf.wait_for_conflictor t tx.ctx)
-                (* Locks are already released; cleanup drops the priority
-                   announcement too so no other thread keeps deferring to
-                   a timestamp that will never commit. *)
-              ~cleanup:(fun () -> Rwl_sf.clear_announcement t tx.ctx)
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-              attempt
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
-                 else 0)
-          | Cm.Escalate ->
-              (* Serial-irrevocable fallback (DESIGN.md §11): take the
-                 zero mutex and the reserved priority, so the next attempt
-                 cannot lose a conflict and commits. *)
-              Rwl_sf.clear_announcement t tx.ctx;
-              Rwl_sf.zero_mutex_lock t;
-              Rwl_sf.announce_priority t tx.ctx irrevocable_priority;
-              tx.escalated <- true;
-              tx.irrevocable <- true;
-              tx.ctx.deadline_ns <- 0;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.ctx.tid
-                  Obs.Events.Irrevocable_fallback;
-              attempt
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
-                 else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback tx;
-        Rwl_sf.clear_announcement t tx.ctx;
-        finish_escalation t tx;
-        raise e
-  in
-  attempt txn_t0
+  attempt tx f ~telemetry ~txn_t0 txn_t0
 
 let atomic ?read_only f =
   ignore read_only;

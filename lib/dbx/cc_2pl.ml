@@ -39,7 +39,7 @@ end) =
 struct
   let name = variant_name V.variant
 
-  type per_thread = {
+  type worker = {
     tid : int;
     rlocks : int Util.Vec.t; (* rids share-locked *)
     wlocks : int Util.Vec.t; (* rids exclusive-locked *)
@@ -53,7 +53,7 @@ struct
     txn_ts : int Atomic.t array; (* announced per-thread ts, 0 = none *)
     waits_for : bool Atomic.t array; (* DL_DETECT adjacency, row-major *)
     edges_dirty : bool array; (* per tid: out-edges were recorded *)
-    threads : per_thread array;
+    workers : worker Per_worker.t;
   }
 
   let mt = Util.Tid.max_threads
@@ -74,8 +74,8 @@ struct
       txn_ts = Array.init mt (fun _ -> Atomic.make 0);
       waits_for = Array.init (mt * mt) (fun _ -> Atomic.make false);
       edges_dirty = Array.make mt false;
-      threads =
-        Array.init mt (fun tid ->
+      workers =
+        Per_worker.create (fun tid ->
             {
               tid;
               rlocks = Util.Vec.create ~dummy:(-1) ();
@@ -83,6 +83,8 @@ struct
               undo = Undo.create ();
             });
     }
+
+  let workers t = t.workers
 
   (* ---- waits-for graph (DL_DETECT) ---- *)
 
@@ -246,7 +248,7 @@ struct
     end
 
   let execute t ~tid txn =
-    let p = t.threads.(tid) in
+    let p = Per_worker.get t.workers tid in
     (* WAIT_DIE: one timestamp per transaction, kept across restarts. *)
     if V.variant = Wait_die then
       Atomic.set t.txn_ts.(tid) (Atomic.fetch_and_add t.ts_clock 1);

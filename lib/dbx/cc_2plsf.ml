@@ -9,7 +9,7 @@ let name = "2PLSF"
    "2PLSF" scope; Runner looks it up as "DBx-" ^ name. *)
 let obs = Obs.Scope.create "DBx-2PLSF"
 
-type per_thread = {
+type worker = {
   ctx : Rwl_sf.ctx; (* also holds the read set *)
   wlocks : int Util.Vec.t;
   undo : Undo.t;
@@ -19,7 +19,7 @@ type per_thread = {
 type t = {
   table : Table.t;
   locks : Rwl_sf.t;
-  threads : per_thread array;
+  workers : worker Per_worker.t;
   mutable wal : Wal.t option;  (* durability hook; None = in-memory only *)
   degraded : string option Atomic.t;
       (* once set, the engine is read-only: writes raise
@@ -37,8 +37,8 @@ let create table =
   {
     table;
     locks;
-    threads =
-      Array.init Util.Tid.max_threads (fun tid ->
+    workers =
+      Per_worker.create (fun tid ->
           {
             ctx = Rwl_sf.make_ctx ~tid;
             wlocks = Util.Vec.create ~dummy:(-1) ();
@@ -50,6 +50,7 @@ let create table =
     m_readonly_rejects = Atomic.make 0;
   }
 
+let workers t = t.workers
 let leaked_locks t = Rwl_sf.leaked t.locks
 let set_wal t w = t.wal <- w
 let wal t = t.wal
@@ -183,7 +184,7 @@ let execute t ~tid txn =
   | Some reason when Array.exists (fun o -> o = Ycsb.Write) txn.Ycsb.ops ->
       readonly_fail t reason
   | _ -> ());
-  let p = t.threads.(tid) in
+  let p = Per_worker.get t.workers tid in
   let aborts = ref 0 in
   let telemetry = !Obs.Telemetry.on in
   if not telemetry then begin
@@ -259,7 +260,7 @@ let execute_transfer t ~tid ~src ~dst ~amount =
   (match Atomic.get t.degraded with
   | Some reason -> readonly_fail t reason
   | None -> ());
-  let p = t.threads.(tid) in
+  let p = Per_worker.get t.workers tid in
   let src_rid = Table.lookup t.table src and dst_rid = Table.lookup t.table dst in
   let aborts = ref 0 in
   if not !Obs.Telemetry.on then begin

@@ -13,6 +13,11 @@ module type CC = sig
 
   val create : Table.t -> t
 
+  type worker
+
+  val workers : t -> worker Per_worker.t
+  (** Per-worker contexts, each built by its worker's first [execute]. *)
+
   val execute : t -> tid:int -> Ycsb.txn -> int
   (** Run the transaction to commit; returns the number of aborted attempts
       it took (0 = first try). *)

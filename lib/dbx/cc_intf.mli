@@ -13,6 +13,13 @@ module type CC = sig
 
   val create : Table.t -> t
 
+  type worker
+  (** A worker's private transaction context. *)
+
+  val workers : t -> worker Per_worker.t
+  (** The engine's worker contexts.  [create] builds none; each is
+      built by its worker's first [execute], in that worker's domain. *)
+
   val execute : t -> tid:int -> Ycsb.txn -> int
   (** Run the transaction to commit; returns the number of aborted
       attempts it took (0 = first try). *)

@@ -22,26 +22,28 @@ let pack ~locked ~wts ~rts =
   lor (wts lsl wts_shift)
   lor (delta lsl delta_shift)
 
-type per_thread = {
+type worker = {
   rset : (int * int) Util.Vec.t; (* (rid, observed word) *)
   wset : (int * int) Util.Vec.t; (* (rid, observed word at buffering time) *)
   locked : int Util.Vec.t; (* rids locked during commit *)
 }
 
-type t = { table : Table.t; words : int Atomic.t array; threads : per_thread array }
+type t = { table : Table.t; words : int Atomic.t array; workers : worker Per_worker.t }
 
 let create table =
   {
     table;
     words = Array.init (Table.num_rows table) (fun _ -> Atomic.make (pack ~locked:false ~wts:0 ~rts:0));
-    threads =
-      Array.init Util.Tid.max_threads (fun _ ->
+    workers =
+      Per_worker.create (fun _ ->
           {
             rset = Util.Vec.create ~dummy:(-1, 0) ();
             wset = Util.Vec.create ~dummy:(-1, 0) ();
             locked = Util.Vec.create ~dummy:(-1) ();
           });
   }
+
+let workers t = t.workers
 
 exception Abort
 
@@ -136,7 +138,7 @@ let attempt t p (txn : Ycsb.txn) =
     false
 
 let execute t ~tid txn =
-  let p = t.threads.(tid) in
+  let p = Per_worker.get t.workers tid in
   let aborts = ref 0 in
   while not (attempt t p txn) do
     incr aborts

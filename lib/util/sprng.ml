@@ -1,15 +1,19 @@
-(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
-   would box a fresh Int64 on every draw. *)
+(* The 64-bit state lives unboxed in a [Bytes.t] (a mutable [int64] field
+   would box a fresh Int64 on every draw), at byte [off] with [off] bytes
+   of padding on either side.  Generators that one domain makes in a row
+   end up side by side in its heap; the padding keeps each state on a
+   cache line that no other generator writes (DESIGN.md §7). *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
+let off = 64
 
 let create seed =
-  let t = Bytes.create 8 in
-  set64 t 0 (Int64.of_int seed);
+  let t = Bytes.create (off + 8 + off) in
+  set64 t off (Int64.of_int seed);
   t
 
 let[@inline] mix64 z =
@@ -18,8 +22,8 @@ let[@inline] mix64 z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let[@inline] step t =
-  let s = Int64.add (get64 t 0) golden in
-  set64 t 0 s;
+  let s = Int64.add (get64 t off) golden in
+  set64 t off s;
   mix64 s
 
 let next t = step t

@@ -1,9 +1,11 @@
 (** SplitMix64 pseudo-random number generator.
 
     A small, fast, statistically solid PRNG used by every workload
-    generator in the repository.  Each worker thread owns its own state, so
-    random-number generation never synchronizes between threads (exactly as
-    in the paper's C++ harness). *)
+    generator in the repository.  Each worker owns its own generator, as
+    in the paper's C++ harness.  A generator's 8-byte state is padded to a
+    cache line of its own, so workers drawing from their own generators
+    write no shared line even when one domain allocated all of the
+    generators together. *)
 
 type t
 

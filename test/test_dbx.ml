@@ -182,6 +182,50 @@ let cc_upgrade_paths (name, cc) =
   in
   Alcotest.test_case (name ^ " upgrade paths") `Quick test
 
+(* Worker contexts are built lazily, each by its own worker: none after
+   [create], one per executing tid, the same one on every call, and
+   distinct ones for two domains sharing the engine. *)
+let cc_worker_contexts (name, cc) =
+  let test () =
+    let (module C : Dbx.Cc_intf.CC) = cc in
+    let table = Dbx.Table.create ~num_rows:256 in
+    let state = C.create table in
+    let ws = C.workers state in
+    check Alcotest.int "no context after create" 0 (Dbx.Per_worker.count ws);
+    let tid = Util.Tid.get () in
+    let g = Dbx.Ycsb.make_gen ~num_keys:256 ~theta:0. ~write_ratio:0.5 () in
+    ignore (C.execute state ~tid (Dbx.Ycsb.next g));
+    check Alcotest.int "one context after one execute" 1 (Dbx.Per_worker.count ws);
+    let first =
+      match Dbx.Per_worker.find ws tid with
+      | Some w -> w
+      | None -> Alcotest.fail "no context for the executing tid"
+    in
+    ignore (C.execute state ~tid (Dbx.Ycsb.next g));
+    (match Dbx.Per_worker.find ws tid with
+    | Some w when w == first -> ()
+    | _ -> Alcotest.fail "the context was not reused");
+    let seen =
+      Harness.Exec.run_each ~threads:2 (fun i ->
+          let tid = Util.Tid.get () in
+          let g =
+            Dbx.Ycsb.make_gen ~seed:(11 + i) ~num_keys:256 ~theta:0.9
+              ~write_ratio:0.5 ()
+          in
+          for _ = 1 to 200 do
+            ignore (C.execute state ~tid (Dbx.Ycsb.next g))
+          done;
+          (tid, Dbx.Per_worker.find ws tid))
+    in
+    (match seen with
+    | [ (t0, Some w0); (t1, Some w1) ] ->
+        if t0 = t1 then Alcotest.fail "two domains shared a tid";
+        if w0 == w1 then Alcotest.fail "two domains shared a context"
+    | _ -> Alcotest.fail "a domain executed without a context");
+    assert_rows_consistent table
+  in
+  Alcotest.test_case (name ^ " worker contexts") `Quick test
+
 (* Read release under contention: two domains run skewed YCSB
    transactions, every third one upgrading its first key (read, then
    write), through Cc_2plsf directly.  Afterwards no lock may be held —
@@ -364,6 +408,7 @@ let () =
       ("cc upgrade paths", List.map cc_upgrade_paths Dbx.Runner.ccs);
       ("cc concurrent", List.map cc_concurrent Dbx.Runner.ccs);
       ("cc high contention", List.map cc_high_contention Dbx.Runner.ccs);
+      ("cc worker contexts", List.map cc_worker_contexts Dbx.Runner.ccs);
       ( "cc 2plsf",
         [
           Alcotest.test_case "lock sweep after contended YCSB" `Quick

@@ -27,6 +27,55 @@ let test_sprng_deterministic () =
     (fun v -> check Alcotest.bool "golden bool" v (Util.Sprng.bool r))
     [ false; false; true; false; false; true; true; true ]
 
+(* The first eight outputs for three seeds, recorded before the state
+   was padded: padding must not change any workload's input. *)
+let sprng_golden =
+  [
+    ( 0,
+      [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+        0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+        0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ] );
+    ( 42,
+      [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+        0x581CE1FF0E4AE394L; 0x09BC585A244823F2L; 0xDE4431FA3C80DB06L;
+        0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L ] );
+    ( 1234,
+      [ 0xBB0CF61B2F181CDBL; 0x97C7A1364DF06524L; 0x33BEFAE49BC025DAL;
+        0x4E6241F252D0A033L; 0xB912E3FF44B145A5L; 0xB0BFB29E8C72A511L;
+        0x7ECC3291B0181B9EL; 0x3A465F3F8F9CE09FL ] );
+  ]
+
+let test_sprng_golden_seeds () =
+  List.iter
+    (fun (seed, outputs) ->
+      let r = Util.Sprng.create seed in
+      List.iteri
+        (fun i v ->
+          check Alcotest.int64 (Printf.sprintf "seed %d, output %d" seed i) v
+            (Util.Sprng.next r))
+        outputs)
+    sprng_golden
+
+(* The state is the only part of the block a draw writes: find it by
+   diffing the block's bytes around one [next], and require at least a
+   cache line (64 bytes) of the block on either side of it. *)
+let test_sprng_state_padded () =
+  let r = Util.Sprng.create 1234 in
+  let block : Bytes.t = Obj.obj (Obj.repr r) in
+  let before = Bytes.copy block in
+  ignore (Util.Sprng.next r);
+  let changed = ref [] in
+  Bytes.iteri (fun i c -> if c <> Bytes.get before i then changed := i :: !changed) block;
+  match !changed with
+  | [] -> Alcotest.fail "a draw changed no byte of the block"
+  | last :: _ as changed ->
+      let first = List.fold_left min last changed in
+      if last - first >= 8 then Alcotest.failf "state spans bytes %d..%d" first last;
+      if first < 64 then Alcotest.failf "state at byte %d: under 64 bytes from the start" first;
+      if Bytes.length block - (last + 1) < 64 then
+        Alcotest.failf "state ends at byte %d of %d: under 64 bytes from the end" last
+          (Bytes.length block)
+
 let test_sprng_int_range () =
   let rng = Util.Sprng.create 7 in
   for _ = 1 to 10_000 do
@@ -345,6 +394,8 @@ let () =
       ( "sprng",
         [
           Alcotest.test_case "deterministic" `Quick test_sprng_deterministic;
+          Alcotest.test_case "golden seeds" `Quick test_sprng_golden_seeds;
+          Alcotest.test_case "state padded to its own line" `Quick test_sprng_state_padded;
           Alcotest.test_case "int range" `Quick test_sprng_int_range;
           Alcotest.test_case "float range" `Quick test_sprng_float_range;
           Alcotest.test_case "spread" `Quick test_sprng_spread;
