@@ -7,7 +7,18 @@ type params = {
   seconds : float;
   big : bool; (* paper-scale key ranges instead of the scaled defaults *)
   runs : int; (* mean over N runs per point (the paper uses 5 x 20 s) *)
+  stms : string list; (* STM or DBx CC names to run; [] = every series *)
 }
+
+let stm_name (module S : Stm_intf.STM) = S.name
+
+(* The figure's series narrowed to [p.stms]. *)
+let pick_stms p l =
+  if p.stms = [] then l
+  else List.filter (fun s -> List.mem (stm_name s) p.stms) l
+
+let pick_ccs p l =
+  if p.stms = [] then l else List.filter (fun (n, _) -> List.mem n p.stms) l
 
 (* Mean over [p.runs] repetitions of one data point (throughput averaged;
    counters summed across runs). *)
@@ -67,7 +78,7 @@ let run_set_series p ~structure ~range stms =
               in
               Harness.Report.row row)
             p.threads)
-        stms)
+        (pick_stms p stms))
     set_mixes
 
 let tree_range p = if p.big then 100_000 else 10_000
@@ -125,7 +136,7 @@ let figure8 p =
               in
               Harness.Report.row row)
             p.threads)
-        Baselines.Registry.main_set)
+        (pick_stms p Baselines.Registry.main_set))
     [ Harness.Driver.Skip_s; Harness.Driver.Zip_s; Harness.Driver.Ravl_s ]
 
 (* ---- Figure 10: pair-wise conflict latency (Figure 9 scheme) ---- *)
@@ -187,7 +198,7 @@ let figure10 p =
     (fun stm ->
       List.iter (fun threads -> run_latency stm ~threads ~seconds:p.seconds)
         thread_points)
-    latency_stms
+    (pick_stms p latency_stms)
 
 (* ---- Figure 11: YCSB in DBx1000 ---- *)
 
@@ -221,18 +232,18 @@ let figure11 p =
               let phases = Harness.Report.phase_breakdown r.telemetry in
               if phases <> "" then Printf.printf "  phases: %s\n%!" phases)
             p.threads)
-        Dbx.Runner.ccs)
+        (pick_ccs p Dbx.Runner.ccs))
     [ `High; `Medium; `Low ]
 
 (* ---- Ablation A1: on-conflict clock vs per-transaction clock ---- *)
+
+let a1_stms : (module Stm_intf.STM) list =
+  [ (module Twoplsf.Stm); (module Baselines.Wait_or_die) ]
 
 let figure12 p =
   Harness.Report.figure_header ~id:"Ablation A1"
     ~title:"2PLSF (clock on conflict) vs 2PL Wait-Or-Die (clock per txn)";
   Harness.Report.row_header ();
-  let stms : (module Stm_intf.STM) list =
-    [ (module Twoplsf.Stm); (module Baselines.Wait_or_die) ]
-  in
   List.iter
     (fun stm ->
       List.iter
@@ -243,17 +254,17 @@ let figure12 p =
           in
           Harness.Report.row row)
         p.threads)
-    stms
+    (pick_stms p a1_stms)
 
 (* ---- Ablation A3: write-through (undo) vs write-back (redo) 2PLSF ---- *)
+
+let a3_stms : (module Stm_intf.STM) list =
+  [ (module Twoplsf.Stm); (module Twoplsf.Stm_wb); (module Twoplsf.Stm_wbd) ]
 
 let figure13 p =
   Harness.Report.figure_header ~id:"Ablation A3"
     ~title:"2PLSF write-through (undo) vs write-back eager (WB) vs deferred (WBD)";
   Harness.Report.row_header ();
-  let stms : (module Stm_intf.STM) list =
-    [ (module Twoplsf.Stm); (module Twoplsf.Stm_wb); (module Twoplsf.Stm_wbd) ]
-  in
   List.iter
     (fun stm ->
       List.iter
@@ -266,7 +277,7 @@ let figure13 p =
             (Harness.Driver.run_map_bench ~stm ~structure:Harness.Driver.Ravl_s
                ~range:(tree_range p) ~threads ~seconds:p.seconds))
         p.threads)
-    stms
+    (pick_stms p a3_stms)
 
 (* ---- Ablation A5: YCSB tail latency (§5's low-tail-latency claim) ---- *)
 
@@ -288,17 +299,17 @@ let figure15 p =
             ~throughput:r.base.throughput ~p50:r.p50 ~p90:r.p90 ~p99:r.p99
             ~max:r.max_latency)
         p.threads)
-    Dbx.Runner.ccs
+    (pick_ccs p Dbx.Runner.ccs)
 
 (* ---- Ablation A4: the price of opacity (§3.5) ---- *)
+
+let a4_stms : (module Stm_intf.STM) list =
+  [ (module Twoplsf.Stm); (module Baselines.Tl2); (module Baselines.Tictoc_stm) ]
 
 let figure14 p =
   Harness.Report.figure_header ~id:"Ablation A4"
     ~title:"Price of opacity: 2PLSF / TL2 (opaque) vs TicToc-STM (serializable only)";
   Harness.Report.row_header ();
-  let stms : (module Stm_intf.STM) list =
-    [ (module Twoplsf.Stm); (module Baselines.Tl2); (module Baselines.Tictoc_stm) ]
-  in
   List.iter
     (fun mix ->
       List.iter
@@ -310,22 +321,28 @@ let figure14 p =
                    ~structure:Harness.Driver.Hash_s ~mix ~range:10_000 ~threads
                    ~seconds:p.seconds))
             p.threads)
-        stms)
+        (pick_stms p a4_stms))
     [ Harness.Workload.write_heavy; Harness.Workload.read_mostly ]
 
-let all : (int * string * (params -> unit)) list =
+(* Number, title, the series names [--stms] may pick from, and the run. *)
+let all : (int * string * string list * (params -> unit)) list =
+  let stms = List.map stm_name and ccs = List.map fst Dbx.Runner.ccs in
+  let main = stms Baselines.Registry.main_set in
   [
-    (2, "RAVL under three 2PL variants", figure2);
-    (3, "linked-list set", figure3);
-    (4, "hash set", figure4);
-    (5, "skip list", figure5);
-    (6, "zip tree", figure6);
-    (7, "relaxed AVL tree", figure7);
-    (8, "map update workload", figure8);
-    (10, "pairwise-conflict latency", figure10);
-    (11, "YCSB / DBx1000", figure11);
-    (12, "ablation: conflict clock", figure12);
-    (13, "ablation: undo vs redo log", figure13);
-    (14, "ablation: price of opacity", figure14);
-    (15, "ablation: YCSB tail latency", figure15);
+    ( 2,
+      "RAVL under three 2PL variants",
+      stms Baselines.Registry.figure2,
+      figure2 );
+    (3, "linked-list set", main, figure3);
+    (4, "hash set", main, figure4);
+    (5, "skip list", main, figure5);
+    (6, "zip tree", main, figure6);
+    (7, "relaxed AVL tree", main, figure7);
+    (8, "map update workload", main, figure8);
+    (10, "pairwise-conflict latency", stms latency_stms, figure10);
+    (11, "YCSB / DBx1000", ccs, figure11);
+    (12, "ablation: conflict clock", stms a1_stms, figure12);
+    (13, "ablation: undo vs redo log", stms a3_stms, figure13);
+    (14, "ablation: price of opacity", stms a4_stms, figure14);
+    (15, "ablation: YCSB tail latency", ccs, figure15);
   ]

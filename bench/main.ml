@@ -1,23 +1,34 @@
-(* Benchmark entry point: regenerates every figure of the paper's
-   evaluation (Figures 2-8, 10, 11 plus the DESIGN.md ablation) and runs
-   the Bechamel per-operation suite.
+(* The one front end: regenerates every figure of the paper's
+   evaluation (Figures 2-8, 10, 11 plus the DESIGN.md ablations), runs
+   the Bechamel per-operation suite, and runs the robustness scenarios.
 
      dune exec bench/main.exe                 # everything, default params
      dune exec bench/main.exe -- --figure 11  # one figure
      dune exec bench/main.exe -- --quick      # fast smoke pass
      dune exec bench/main.exe -- --threads 1,2,4,8 --seconds 1.0 --big
 
+   --stms narrows a figure to some of its series, so one data point is
+
+     dune exec bench/main.exe -- --figure 4 --stms TL2 --threads 2 --no-bechamel
+
    The robustness soaks share one set of flags (DESIGN.md §10-12, 14-16):
 
      dune exec bench/main.exe -- --scenario chaos --seconds 10 --threads 4
      dune exec bench/main.exe -- --scenario overload --seconds 5 --stms 2PLSF
      dune exec bench/main.exe -- --scenario explore --cycles 200
+     dune exec bench/main.exe -- --scenario explore --cycles 50 --threads 3 \
+       --bug rollback-old-version      # writes explore-TinySTM-<bug>.json
+     dune exec bench/main.exe -- --scenario explore --replay WITNESS.json
      dune exec bench/main.exe -- --scenario crash --cycles 54
      dune exec bench/main.exe -- --scenario disk --cycles 48
 
    Thread sweeps on a host with few cores (the reference host has 2
    vCPUs) measure concurrency-control behaviour under OS interleaving
-   more than parallel speedup (DESIGN.md §3.1). *)
+   more than parallel speedup (DESIGN.md §3.1).
+
+   Exit status: 0 clean, 1 a failed check (or a replayed failure
+   reproduced), 2 bad usage, 3 a replay that was nondeterministic or not
+   as recorded. *)
 
 let parse_list s =
   String.split_on_char ',' s
@@ -25,6 +36,13 @@ let parse_list s =
   |> List.filter (fun x -> x <> "")
 
 let parse_threads s = List.map int_of_string (parse_list s)
+
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
 let () =
   let figure = ref 0 in
@@ -58,17 +76,23 @@ let () =
   let bench_out = ref "" in
   let metrics_port = ref (-1) in
   let conflict_map = ref false in
+  let bug = ref "" in
+  let replay = ref "" in
   (* Hidden flags of the re-exec'd crash-soak child. *)
   let crash_child = ref "" in
   let crash_site = ref (-1) in
   let crash_after = ref 0 in
   let spec =
     [
-      ("--figure", Arg.Set_int figure, "N  run only figure N (2-8, 10-12)");
+      ( "--figure",
+        Arg.Set_int figure,
+        Printf.sprintf "N  run only figure N (%s)"
+          (String.concat ", "
+             (List.map (fun (n, _, _, _) -> string_of_int n) Figures.all)) );
       ( "--threads",
         Arg.String (fun s -> threads := Some (parse_threads s)),
         "LIST  comma-separated thread counts (default 1,2,4); a scenario \
-         takes the largest (default 4; overload: 2x domains)" );
+         takes the largest (default 4; overload: 2x domains; explore: 2)" );
       ( "--seconds",
         Arg.Float (fun s -> seconds := Some s),
         "S  seconds per data point (default 0.4), per STM (chaos and \
@@ -165,18 +189,30 @@ let () =
          DESIGN.md §10-11, 14-16" );
       ( "--stms",
         Arg.String (fun s -> stms := parse_list s),
-        "LIST  comma-separated STM names for chaos and overload (default: \
+        "LIST  comma-separated STM (or, for DBx figures, CC) names: the \
+         STMs of a soak or search, or the series of the figures (default: \
          all)" );
       ( "--cycles",
         Arg.Set_int cycles,
         "N  schedules (explore) or cycles (crash, disk) to run" );
       ( "--seed",
         Arg.Set_int seed,
-        "N  base seed of the crash and disk scenarios (defaults 0xC4A05 \
-         and 0xD15C)" );
+        "N  base seed of the explore, crash and disk scenarios (defaults \
+         1, 0xC4A05 and 0xD15C)" );
       ( "--dir",
         Arg.Set_string dir,
         "DIR  WAL directory of the crash scenario (default wal-crash-soak)" );
+      ( "--bug",
+        Arg.Set_string bug,
+        Printf.sprintf
+          "NAME  explore TinySTM with a seeded bug (one of: %s); the shrunk \
+           witness is written to explore-TinySTM-NAME.json"
+          (String.concat ", " Baselines.Tinystm.bug_names) );
+      ( "--replay",
+        Arg.Set_string replay,
+        "FILE  replay an explore witness twice instead of searching: exit 0 \
+         clean as recorded, 1 recorded failure reproduced, 3 \
+         nondeterministic or not as recorded" );
       (* Internal: the crash-soak child re-exec (not for direct use). *)
       ("--crash-child", Arg.Set_string crash_child, "DIR  (internal)");
       ("--crash-site", Arg.Set_int crash_site, "CODE  (internal)");
@@ -198,14 +234,61 @@ let () =
     match !threads with Some l -> List.fold_left max 1 l | None -> default
   in
   let scenario_seconds default = Option.value !seconds ~default in
+  (* Usage checks, all before anything runs. *)
   (match !scenario with
   | ("chaos" | "overload") when !seconds = None ->
-      prerr_endline "--scenario: chaos and overload need --seconds S";
-      exit 2
-  | ("explore" | "crash" | "disk") when !cycles <= 0 ->
-      prerr_endline "--scenario: explore, crash and disk need --cycles N";
-      exit 2
+      usage "--scenario: chaos and overload need --seconds S"
+  | "explore" when !cycles <= 0 && !replay = "" ->
+      usage "--scenario: explore needs --cycles N or --replay FILE"
+  | ("crash" | "disk") when !cycles <= 0 ->
+      usage "--scenario: crash and disk need --cycles N"
   | _ -> ());
+  if (!bug <> "" || !replay <> "") && !scenario <> "explore" then
+    usage "--bug and --replay need --scenario explore";
+  if !bug <> "" then begin
+    if not (List.mem !bug Baselines.Tinystm.bug_names) then
+      usage "--bug: unknown bug %s (one of: %s)" !bug
+        (String.concat ", " Baselines.Tinystm.bug_names);
+    if List.exists (( <> ) "TinySTM") !stms then
+      usage "--bug seeds a TinySTM bug; it cannot run with --stms %s"
+        (String.concat "," !stms);
+    stms := [ "TinySTM" ]
+  end;
+  let figure_known (n, _, _, _) = !figure = 0 || n = !figure in
+  if not (List.exists figure_known Figures.all) then
+    usage "--figure: unknown figure %d (valid: %s)" !figure
+      (String.concat ", "
+         (List.map (fun (n, _, _, _) -> string_of_int n) Figures.all));
+  (* The names --stms may pick from, by scenario or selected figures. *)
+  let stm_names, what =
+    match !scenario with
+    | "chaos" | "overload" ->
+        ( List.map Figures.stm_name Baselines.Registry.all,
+          "--scenario " ^ !scenario )
+    | "explore" -> (Twoplsf_sched.Scenario.supported, "--scenario explore")
+    | "crash" | "disk" -> ([], "--scenario " ^ !scenario)
+    | _ ->
+        let names ((_, _, names, _) as f) =
+          if figure_known f then names else []
+        in
+        ( List.sort_uniq compare (List.concat_map names Figures.all),
+          if !figure = 0 then "the figures"
+          else Printf.sprintf "figure %d" !figure )
+  in
+  List.iter
+    (fun s ->
+      if not (List.mem s stm_names) then
+        usage "--stms: %s is not valid for %s (valid: %s)" s what
+          (if stm_names = [] then "none" else String.concat ", " stm_names))
+    !stms;
+  let witness =
+    if !replay = "" then None
+    else
+      match Twoplsf_sched.Trace.load !replay with
+      | t -> Some t
+      | exception (Sys_error m | Failure m | Harness.Json.Parse_error m) ->
+          usage "--replay: cannot load %s: %s" !replay m
+  in
   ignore (Util.Tid.register ());
   (* Crash-soak child: run the durable workload until the armed kill
      fires ([Unix._exit], no cleanup) and touch nothing else — no
@@ -216,6 +299,8 @@ let () =
       ~seconds:(scenario_seconds 1.0);
     exit 0
   end;
+  (* A replay is deterministic and self-contained, like the child. *)
+  Option.iter (fun t -> exit (Search.replay t ~path:!replay)) witness;
   let monitoring = !monitor_out <> "" || !monitor_console in
   if !watchdog || monitoring || !metrics_port >= 0 || !conflict_map then
     telemetry := true;
@@ -283,33 +368,11 @@ let () =
         Crash_soak.run ~cycles:!cycles ~threads:(scenario_threads 4)
           ~seconds:(scenario_seconds 1.0) ~seed:(seed_or 0xC4A05) ~dir:!dir
     | "explore" ->
-        let module Sc = Twoplsf_sched.Scenario in
-        let module Ex = Twoplsf_sched.Explore in
-        let module Tr = Twoplsf_sched.Trace in
-        Printf.printf
-          "Schedule exploration smoke: %d PCT schedules per STM\n%!" !cycles;
-        let failed stm =
-          let params =
-            {
-              Ex.default_params with
-              Ex.scenario = { Tr.default_scenario with Tr.stm };
-              iters = !cycles;
-              do_shrink = false;
-            }
-          in
-          let r = Ex.search params in
-          match r.Ex.found with
-          | None ->
-              Printf.printf "  %-14s ok (%d schedules, %d decisions)\n%!" stm
-                r.Ex.iterations r.Ex.total_decisions;
-              false
-          | Some f ->
-              Printf.printf "  %-14s VIOLATION at iteration %d: %s\n%!" stm
-                f.Ex.iteration
-                (Sc.failure_to_string f.Ex.failure);
-              true
-        in
-        List.length (List.filter failed Sc.supported)
+        Search.run
+          ~stms:
+            (if !stms = [] then Twoplsf_sched.Scenario.supported else !stms)
+          ~bug:(if !bug = "" then None else Some !bug)
+          ~threads:(scenario_threads 2) ~seed:(seed_or 1) ~cycles:!cycles
     | "overload" ->
         (* Oversubscribe on purpose: overload behaviour only shows when
            the scheduler preempts lock holders. *)
@@ -330,6 +393,7 @@ let () =
             seconds = fig_seconds;
             big = !big;
             runs = !runs;
+            stms = !stms;
           }
         in
         Printf.printf
@@ -337,15 +401,14 @@ let () =
           (String.concat "," (List.map string_of_int p.threads))
           p.seconds p.big;
         if not !no_bechamel then Bechamel_suite.run ();
-        let selected =
-          if !figure = 0 then Figures.all
-          else List.filter (fun (n, _, _) -> n = !figure) Figures.all
-        in
-        if selected = [] then begin
-          Printf.eprintf "unknown figure %d\n" !figure;
-          exit 1
-        end;
-        List.iter (fun (_, _, f) -> f p) selected;
+        (* Every known figure, less those with no series in --stms. *)
+        List.iter
+          (fun ((_, _, names, run) as f) ->
+            let picked =
+              p.stms = [] || List.exists (fun s -> List.mem s names) p.stms
+            in
+            if figure_known f && picked then run p)
+          Figures.all;
         0
   in
   if chaos_on && !scenario <> "" then

@@ -1,40 +1,23 @@
-(* The exploration driver: iterate seeded strategies over a scenario
+(* The exploration driver: iterate seeded PCT schedules over a scenario
    until a checker violation appears, then shrink and package the
    failing schedule as a Trace.t. *)
 
-type kind = Round_robin | Random | Pct
-
-let kind_to_string = function
-  | Round_robin -> "round-robin"
-  | Random -> "random"
-  | Pct -> "pct"
-
-let kind_of_string = function
-  | "round-robin" | "rr" -> Round_robin
-  | "random" -> Random
-  | "pct" -> Pct
-  | s -> invalid_arg (Printf.sprintf "unknown strategy %S" s)
-
 type params = {
   scenario : Trace.scenario;
-  kind : kind;
   iters : int;
   depth : int;
   seed : int;
   max_steps : int;
-  do_shrink : bool;
   max_shrink_trials : int;
 }
 
 let default_params =
   {
     scenario = Trace.default_scenario;
-    kind = Pct;
     iters = 200;
     depth = 3;
     seed = 1;
     max_steps = 20_000;
-    do_shrink = true;
     max_shrink_trials = 300;
   }
 
@@ -44,7 +27,7 @@ type found = {
   failure : Scenario.failure;
   trace : Trace.t;
   original_len : int;
-  shrink : Shrink.stats option;
+  shrink : Shrink.stats;
 }
 
 type result = { found : found option; iterations : int; total_decisions : int }
@@ -59,24 +42,16 @@ let search ?(log = fun (_ : string) -> ()) (p : params) =
   (try
      for i = 0 to p.iters - 1 do
        let strat, label =
-         match p.kind with
-         | Round_robin -> (Sched.Round_robin, "round-robin")
-         | Random ->
-             let s = Util.Sprng.hash4 p.seed i 0xA11 1 in
-             (Sched.Random_walk { seed = s }, Printf.sprintf "random iter=%d seed=%d" i p.seed)
-         | Pct ->
-             if i = 0 then (Sched.Round_robin, "round-robin probe")
-             else
-               let s = Util.Sprng.hash4 p.seed i 0x9C7 2 in
-               ( Sched.Pct { seed = s; depth = p.depth; horizon = !horizon },
-                 Printf.sprintf "pct iter=%d seed=%d depth=%d" i p.seed p.depth
-               )
+         if i = 0 then (Sched.Round_robin, "round-robin probe")
+         else
+           let s = Util.Sprng.hash4 p.seed i 0x9C7 2 in
+           ( Sched.Pct { seed = s; depth = p.depth; horizon = !horizon },
+             Printf.sprintf "pct iter=%d seed=%d depth=%d" i p.seed p.depth )
        in
        let o = Scenario.run ~strategy:strat ~max_steps:p.max_steps p.scenario in
        incr iterations;
        total := !total + o.Scenario.info.Sched.steps;
-       if p.kind = Pct && i = 0 then
-         horizon := max 64 o.Scenario.info.Sched.steps;
+       if i = 0 then horizon := max 64 o.Scenario.info.Sched.steps;
        match o.Scenario.failure with
        | None -> ()
        | Some failure ->
@@ -98,13 +73,7 @@ let search ?(log = fun (_ : string) -> ()) (p : params) =
              | exception _ -> false
            in
            let shrunk, stats =
-             if p.do_shrink then
-               let d, s =
-                 Shrink.shrink ~oracle ~max_trials:p.max_shrink_trials
-                   decisions
-               in
-               (d, Some s)
-             else (decisions, None)
+             Shrink.shrink ~oracle ~max_trials:p.max_shrink_trials decisions
            in
            let trace =
              {
@@ -132,3 +101,40 @@ let search ?(log = fun (_ : string) -> ()) (p : params) =
      done
    with Exit -> ());
   { found = !found; iterations = !iterations; total_decisions = !total }
+
+type verdict =
+  | Clean
+  | Reproduced of Scenario.failure
+  | Nondeterministic of int * int
+  | Mismatch of { recorded : string option; observed : string option }
+
+let replay (t : Trace.t) =
+  let run () =
+    Scenario.run
+      ~strategy:(Sched.Fixed { decisions = t.Trace.decisions })
+      t.Trace.scenario
+  in
+  let o1 = run () in
+  let o2 = run () in
+  if o1.Scenario.history_hash <> o2.Scenario.history_hash then
+    Nondeterministic (o1.Scenario.history_hash, o2.Scenario.history_hash)
+  else
+    let observed = Option.map Scenario.failure_class o1.Scenario.failure in
+    match (t.Trace.failure, o1.Scenario.failure) with
+    | None, None -> Clean
+    | Some recorded, Some f when observed = Some recorded -> Reproduced f
+    | recorded, _ -> Mismatch { recorded; observed }
+
+let verdict_to_string = function
+  | Clean -> "clean, as recorded"
+  | Reproduced f ->
+      "recorded failure reproduced: " ^ Scenario.failure_to_string f
+  | Nondeterministic (h1, h2) ->
+      Printf.sprintf "replay not deterministic: history hashes %x and %x" h1
+        h2
+  | Mismatch { recorded = Some _; observed = None } ->
+      "recorded failure did not reproduce"
+  | Mismatch { recorded; observed } ->
+      let show = Option.value ~default:"none" in
+      Printf.sprintf "outcome does not match the recording: recorded %s, got %s"
+        (show recorded) (show observed)

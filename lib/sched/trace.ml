@@ -19,8 +19,8 @@ let default_scenario =
     accounts = 4;
     txns_per_thread = 6;
     init_balance = 128;
-    abort_every = 0;
-    audit_every = 0;
+    abort_every = 3;
+    audit_every = 4;
     wseed = 1;
     bug = None;
   }

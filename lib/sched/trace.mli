@@ -3,8 +3,9 @@
 
     A trace pairs a fully-parameterized workload description with the
     decision sequence the scheduler took, so a failure found by
-    exploration can be re-run bit-for-bit by [bin/repro.exe schedule]
-    or the [test/schedules/] regression corpus.  Decisions are keyed by
+    exploration can be re-run bit-for-bit by
+    [bench/main.exe --scenario explore --replay FILE] or the
+    [test/schedules/] regression corpus.  Decisions are keyed by
     {e worker slot} (the worker's index in its cohort), not by raw
     thread id, which makes traces portable across processes. *)
 
@@ -25,6 +26,9 @@ type scenario = {
 }
 
 val default_scenario : scenario
+(** The shape shared by the explore smoke and the bug search: 2 threads,
+    4 accounts, 6 transactions per thread, a user abort every 3rd and an
+    audit every 4th transaction, 2PLSF, workload seed 1. *)
 
 type t = {
   version : int;

@@ -11,6 +11,8 @@
      oracle and never returns an unconfirmed candidate;
    - PCT semantics: depth-0 PCT is strict priority scheduling (each
      worker runs to completion before the next starts);
+   - replay verdicts: [Explore.replay] tells clean-as-recorded,
+     reproduced and mismatched outcomes apart;
    - regression corpus: every committed trace in test/schedules/
      deterministically reproduces its recorded failure class against
      the seeded TinySTM bug it was found on, and passes cleanly once
@@ -102,6 +104,34 @@ let test_replay_determinism_with_chaos () =
     r1.Scenario.history_hash r2.Scenario.history_hash;
   check Alcotest.int "chaos-active replay matches recording"
     o.Scenario.history_hash r1.Scenario.history_hash
+
+(* ---- replay verdicts ---------------------------------------------- *)
+
+(* The verdict as a comparable string: failures by class, since their
+   rendered messages embed run-specific values. *)
+let verdict t =
+  match Explore.replay t with
+  | Explore.Reproduced f -> "reproduced " ^ Scenario.failure_class f
+  | v -> Explore.verdict_to_string v
+
+let test_replay_verdicts () =
+  let o = run_random 42 in
+  let t =
+    {
+      Trace.version = Trace.version;
+      strategy = "random seed=42";
+      failure = None;
+      scenario;
+      decisions = o.Scenario.info.Sched.decisions;
+    }
+  in
+  check Alcotest.string "clean trace replays clean"
+    (Explore.verdict_to_string Explore.Clean)
+    (verdict t);
+  check Alcotest.string "a failure recorded on a clean run is a mismatch"
+    (Explore.verdict_to_string
+       (Explore.Mismatch { recorded = Some "conservation"; observed = None }))
+    (verdict { t with Trace.failure = Some "conservation" })
 
 (* ---- chaos draw statelessness ------------------------------------- *)
 
@@ -208,15 +238,8 @@ let test_corpus_reproduces file () =
     | Some f -> f
     | None -> Alcotest.fail (file ^ ": corpus trace has no recorded failure")
   in
-  let r1 = replay t and r2 = replay t in
-  check Alcotest.int (file ^ ": replay is deterministic")
-    r1.Scenario.history_hash r2.Scenario.history_hash;
-  match r1.Scenario.failure with
-  | None -> Alcotest.fail (file ^ ": recorded failure did not reproduce")
-  | Some f ->
-      check Alcotest.string
-        (file ^ ": failure class matches recording")
-        recorded (Scenario.failure_class f)
+  check Alcotest.string (file ^ ": recorded failure reproduces")
+    ("reproduced " ^ recorded) (verdict t)
 
 let test_corpus_passes_when_fixed file () =
   (* The same schedule against unmodified TinySTM must be clean: the
@@ -225,10 +248,8 @@ let test_corpus_passes_when_fixed file () =
   let fixed =
     { t with Trace.scenario = { t.Trace.scenario with Trace.bug = None } }
   in
-  let r = replay fixed in
-  check (Alcotest.option Alcotest.string)
-    (file ^ ": clean on fixed code") None
-    (Option.map Scenario.failure_class r.Scenario.failure)
+  check Alcotest.string (file ^ ": clean on fixed code")
+    "recorded failure did not reproduce" (verdict fixed)
 
 (* ---- explorer end-to-end ------------------------------------------ *)
 
@@ -244,7 +265,6 @@ let test_explore_finds_seeded_bug () =
           Trace.bug = Some "rollback-old-version";
           txns_per_thread = 6;
         };
-      kind = Explore.Pct;
       iters = 5;
       max_shrink_trials = 60;
     }
@@ -282,6 +302,7 @@ let () =
             test_replay_determinism;
           Alcotest.test_case "determinism under chaos" `Quick
             test_replay_determinism_with_chaos;
+          Alcotest.test_case "verdicts" `Quick test_replay_verdicts;
         ] );
       ( "chaos",
         [ Alcotest.test_case "per-site step purity" `Quick test_chaos_step_purity ] );
