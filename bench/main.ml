@@ -263,8 +263,7 @@ let () =
   let stm_names, what =
     match !scenario with
     | "chaos" | "overload" ->
-        ( List.map Figures.stm_name Baselines.Registry.all,
-          "--scenario " ^ !scenario )
+        (Baselines.Registry.names, "--scenario " ^ !scenario)
     | "explore" -> (Twoplsf_sched.Scenario.supported, "--scenario explore")
     | "crash" | "disk" -> ([], "--scenario " ^ !scenario)
     | _ ->

@@ -1,10 +1,7 @@
 module Make (L : Rwlock.Trylock_rw.S) () = struct
   let name = L.name
 
-  module Cm = Twoplsf_cm.Cm
-  module Admission = Twoplsf_cm.Admission
-
-  exception Restart
+  module Obs = Twoplsf_obs
 
   open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -17,11 +14,7 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
     rset : int Util.Vec.t; (* read-locked lock indices *)
     wlocks : int Util.Vec.t; (* write-locked lock indices *)
     undo : Wset.t;
-    mutable depth : int;
-    mutable restarts : int;
-    mutable finished_restarts : int;
-    mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-    ov : Cm.state;
+    lp : Txn_loop.t;
   }
 
   let requested_num_locks = ref 65536
@@ -39,22 +32,24 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
     requested_num_locks := num_locks
 
   let stats = Stm_intf.Stats.create ()
+  let obs = Obs.Scope.create name
 
   let tx_key =
     Domain.DLS.new_key (fun () ->
+        let tid = Util.Tid.get () in
         {
-          tid = Util.Tid.get ();
+          tid;
           rset = Util.Vec.create ~dummy:(-1) ();
           wlocks = Util.Vec.create ~dummy:(-1) ();
           undo = Wset.create ();
-          depth = 0;
-          restarts = 0;
-          finished_restarts = 0;
-          escalated = false;
-          ov = Cm.make_state ();
+          lp = Txn_loop.make ~tid;
         })
 
   let get_tx () = Domain.DLS.get tx_key
+
+  (* No-wait: any lock conflict aborts at once.  The lock signature does
+     not name the holder, so the aborter side is unknown. *)
+  let conflict tx reason w = Txn_loop.restart tx.lp reason ~aborter:(-1) ~lock:w
 
   let read tx (tv : 'a tvar) : 'a =
     let l = Util.Once.get locks in
@@ -64,7 +59,7 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
       Util.Vec.push tx.rset w;
       tv.v
     end
-    else raise Restart
+    else conflict tx Obs.Events.Read_lock_conflict w
 
   let write tx tv nv =
     let l = Util.Once.get locks in
@@ -75,7 +70,7 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
       Wset.log_old_once tx.undo tv tv.v;
       tv.v <- nv
     end
-    else raise Restart
+    else conflict tx Obs.Events.Write_lock_conflict w
 
   let release tx =
     let l = Util.Once.get locks in
@@ -86,72 +81,28 @@ module Make (L : Rwlock.Trylock_rw.S) () = struct
     Wset.rollback tx.undo;
     release tx
 
-  let begin_attempt tx =
+  (* Reads always lock, as in every 2PL: [read_only] changes nothing. *)
+  let begin_attempt tx ~read_only:_ =
     Util.Vec.clear tx.rset;
     Util.Vec.clear tx.wlocks;
     Wset.clear tx.undo
 
-  let finish_escalation tx =
-    if tx.escalated then begin
-      tx.escalated <- false;
-      Cm.Fallback.release ()
-    end
+  include Txn_loop.Make (struct
+    type nonrec tx = tx
 
-  let run tx f =
-    tx.restarts <- 0;
-    ignore (Cm.begin_txn tx.ov);
-    let rec attempt n =
-      begin_attempt tx;
-      tx.depth <- 1;
-      match f tx with
-      | v ->
-          tx.depth <- 0;
-          release tx;
-          finish_escalation tx;
-          Stm_intf.Stats.commit stats ~tid:tx.tid;
-          tx.finished_restarts <- tx.restarts;
-          v
-      | exception Restart ->
-          tx.depth <- 0;
-          rollback tx;
-          Stm_intf.Stats.abort stats ~tid:tx.tid;
-          tx.restarts <- tx.restarts + 1;
-          if tx.escalated then begin
-            Util.Backoff.exponential ~attempt:n;
-            attempt (n + 1)
-          end
-          else begin
-            match
-              Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-                ~st:tx.ov
-                ~native_wait:(fun () -> Util.Backoff.exponential ~attempt:n)
-                ~cleanup:(fun () -> ())
-                ~reasons:(fun () -> [])
-            with
-            | Cm.Retry -> attempt (n + 1)
-            | Cm.Escalate ->
-                Cm.Fallback.acquire ();
-                tx.escalated <- true;
-                attempt (n + 1)
-          end
-      | exception e ->
-          tx.depth <- 0;
-          rollback tx;
-          finish_escalation tx;
-          raise e
-    in
-    attempt 1
+    let name = name
+    let obs = obs
+    let stats = stats
+    let get_tx = get_tx
+    let loop tx = tx.lp
+    let begin_attempt = begin_attempt
+    let commit = release (* writes are already in place *)
+    let rollback = rollback
 
-  let atomic ?read_only f =
-    ignore read_only (* reads always lock, as in every 2PL *);
-    let tx = get_tx () in
-    if tx.depth > 0 then f tx else Admission.guard (fun () -> run tx f)
+    include Txn_loop.Backoff_hooks
+  end)
 
-  let commits () = Stm_intf.Stats.commits stats
-  let aborts () = Stm_intf.Stats.aborts stats
   let clock_ops () = 0 (* no central clock in the no-wait family *)
-  let reset_stats () = Stm_intf.Stats.reset stats
-  let last_restarts () = (get_tx ()).finished_restarts
 
   (* The lock signature exposes no raw state, so the sweep asks every
      (lock, tid) pair whether it is held.  O(num_locks * max_threads):

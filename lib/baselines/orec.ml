@@ -10,6 +10,7 @@ let get t i = Atomic.get t.words.(i)
 
 let is_locked w = w land 1 = 1
 let owner w = w lsr 1
+let holder w = if is_locked w then owner w else -1
 let version w = w lsr 1
 let locked_word ~tid = (tid lsl 1) lor 1
 let version_word v = v lsl 1
@@ -22,6 +23,22 @@ let try_lock t ~tid i =
   else None
 
 let unlock_to t i ~version = Atomic.set t.words.(i) (version_word version)
+
+let restore t log =
+  Util.Vec.iter_rev
+    (fun (oi, old_version) -> unlock_to t oi ~version:old_version)
+    log;
+  Util.Vec.clear log
+
+let pre_lock_version log oi =
+  let n = Util.Vec.length log in
+  let rec go i =
+    if i >= n then None
+    else
+      let oj, old_version = Util.Vec.get log i in
+      if oj = oi then Some old_version else go (i + 1)
+  in
+  go 0
 
 let size t = t.mask + 1
 

@@ -20,6 +20,10 @@ val is_locked : int -> bool
 val owner : int -> int
 (** Owner tid of a locked word (meaningless on unlocked words). *)
 
+val holder : int -> int
+(** Owner tid of a locked word, -1 on an unlocked one: the aborter an
+    abort on this word is pinned on. *)
+
 val version : int -> int
 (** Version of an unlocked word (meaningless on locked words). *)
 
@@ -29,6 +33,15 @@ val try_lock : t -> tid:int -> int -> int option
 
 val unlock_to : t -> int -> version:int -> unit
 (** Store an unlocked word carrying [version]. *)
+
+val restore : t -> (int * int) Util.Vec.t -> unit
+(** Unlock every orec of a transaction's (orec, pre-lock version) log back
+    to its pre-lock version, newest first, then clear the log. *)
+
+val pre_lock_version : (int * int) Util.Vec.t -> int -> int option
+(** The version orec [oi] had when this transaction locked it, looked up
+    in its (orec, pre-lock version) log; [None] if it did not lock it.
+    Linear scan: write sets are small. *)
 
 val size : t -> int
 (** Number of orecs in the table. *)

@@ -1,9 +1,6 @@
 let name = "OREC-Z"
 
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
-
-exception Restart
+module Obs = Twoplsf_obs
 
 open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -18,11 +15,7 @@ type tx = {
   wset : Wset.t;
   acquired : (int * int) Util.Vec.t;
   mutable ro : bool;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
+  lp : Txn_loop.t;
 }
 
 let requested_num_orecs = ref 65536
@@ -39,62 +32,48 @@ let configure ?(num_orecs = 65536) () =
 
 let clock = Atomic.make 0
 let stats = Stm_intf.Stats.create ()
+let obs = Obs.Scope.create name
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
-        tid = Util.Tid.get ();
+        tid;
         rv = 0;
         rset = Util.Vec.create ~dummy:(-1, -1) ();
         wset = Wset.create ();
         acquired = Util.Vec.create ~dummy:(-1, -1) ();
         ro = false;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
+        lp = Txn_loop.make ~tid;
       })
 
 let get_tx () = Domain.DLS.get tx_key
 
-let acquired_old_version tx oi =
-  let n = Util.Vec.length tx.acquired in
-  let rec go i =
-    if i >= n then None
-    else
-      let oj, old_version = Util.Vec.get tx.acquired i in
-      if oj = oi then Some old_version else go (i + 1)
-  in
-  go 0
+(* Abort, pinned on orec [oi] and, when [word] is locked, its owner. *)
+let conflict tx reason oi word =
+  Txn_loop.restart tx.lp reason ~aborter:(Orec.holder word) ~lock:oi
 
-let validate tx ~allow_mine =
+(* Revalidate every read at its observed version; an invalid one aborts
+   the attempt with [reason]. *)
+let validate tx ~allow_mine reason =
   let o = Util.Once.get orecs in
-  let ok = ref true in
-  (try
-     Util.Vec.iter
-       (fun (oi, observed) ->
-         let w = Orec.get o oi in
-         if Orec.is_locked w then begin
-           if not (allow_mine && Orec.owner w = tx.tid) then raise Exit;
-           (* Self-locked at commit: valid only if we locked it at exactly
-              the version this read observed. *)
-           match acquired_old_version tx oi with
-           | Some old_version when old_version = observed -> ()
-           | Some _ | None -> raise Exit
-         end
-         else if Orec.version w <> observed then raise Exit)
-       tx.rset
-   with Exit -> ok := false);
-  !ok
-
-let extend tx =
-  let now = Atomic.get clock in
-  if validate tx ~allow_mine:false then begin
-    tx.rv <- now;
-    true
-  end
-  else false
+  Util.Vec.iter
+    (fun (oi, observed) ->
+      let w = Orec.get o oi in
+      let valid =
+        if Orec.is_locked w then
+          (* Self-locked at commit: valid only if we locked it at exactly
+             the version this read observed. *)
+          allow_mine
+          && Orec.owner w = tx.tid
+          &&
+          match Orec.pre_lock_version tx.acquired oi with
+          | Some old_version -> old_version = observed
+          | None -> false
+        else Orec.version w = observed
+      in
+      if not valid then conflict tx reason oi w)
+    tx.rset
 
 (* On version overflow: extend the snapshot, then RE-EXECUTE the load.
    The tvar may have been committed to between our value fetch and the
@@ -106,12 +85,18 @@ let rec read_orec tx (tv : 'a tvar) : 'a =
   let o = Util.Once.get orecs in
   let oi = Orec.index o tv.id in
   let pre = Orec.get o oi in
-  if Orec.is_locked pre then raise Restart;
+  if Orec.is_locked pre then conflict tx Obs.Events.Read_validation oi pre;
   let v = tv.v in
-  if Orec.get o oi <> pre then raise Restart;
+  let w = Orec.get o oi in
+  if w <> pre then conflict tx Obs.Events.Read_validation oi w;
   let ver = Orec.version pre in
-  if ver > tx.rv then
-    if extend tx then read_orec tx tv else raise Restart
+  if ver > tx.rv then begin
+    (* Snapshot extension: revalidate every read, then move [rv]. *)
+    let now = Atomic.get clock in
+    validate tx ~allow_mine:false Obs.Events.Read_validation;
+    tx.rv <- now;
+    read_orec tx tv
+  end
   else begin
     (* Logged even in read-only mode: extension must revalidate every
        prior read to keep the snapshot opaque. *)
@@ -130,38 +115,29 @@ let write tx tv nv =
   if tx.ro then invalid_arg "Orec_lazy.write inside a read-only transaction";
   Wset.add tx.wset tv nv
 
-let release_acquired_old tx =
-  let o = Util.Once.get orecs in
-  Util.Vec.iter_rev
-    (fun (oi, old_version) -> Orec.unlock_to o oi ~version:old_version)
-    tx.acquired
+(* Drop commit-time locks to their pre-lock versions: after a failed
+   commit, or an exception escaping mid-commit.  The body itself holds no
+   locks (lazy locking). *)
+let rollback tx =
+  if not (Util.Vec.is_empty tx.acquired) then
+    Orec.restore (Util.Once.get orecs) tx.acquired
 
 let lock_write_set tx =
   let o = Util.Once.get orecs in
-  let ok = ref true in
-  (try
-     Wset.iter_ids tx.wset (fun id ->
-         let oi = Orec.index o id in
-         let w = Orec.get o oi in
-         if Orec.is_locked w && Orec.owner w = tx.tid then ()
-         else
-           match Orec.try_lock o ~tid:tx.tid oi with
-           | Some old_version -> Util.Vec.push tx.acquired (oi, old_version)
-           | None -> raise Exit)
-   with Exit -> ok := false);
-  !ok
+  Wset.iter_ids tx.wset (fun id ->
+      let oi = Orec.index o id in
+      let w = Orec.get o oi in
+      if Orec.is_locked w && Orec.owner w = tx.tid then ()
+      else
+        match Orec.try_lock o ~tid:tx.tid oi with
+        | Some old_version -> Util.Vec.push tx.acquired (oi, old_version)
+        | None ->
+            conflict tx Obs.Events.Commit_lock_conflict oi (Orec.get o oi))
 
 let commit tx =
-  if Wset.is_empty tx.wset then ()
-  else begin
-    if not (lock_write_set tx) then begin
-      release_acquired_old tx;
-      raise Restart
-    end;
-    if not (validate tx ~allow_mine:true) then begin
-      release_acquired_old tx;
-      raise Restart
-    end;
+  if not (Wset.is_empty tx.wset) then begin
+    lock_write_set tx;
+    validate tx ~allow_mine:true Obs.Events.Commit_validation;
     let wv = 1 + Atomic.fetch_and_add clock 1 in
     Stm_intf.Stats.clock_op stats ~tid:tx.tid;
     Wset.apply tx.wset;
@@ -169,78 +145,28 @@ let commit tx =
     Util.Vec.iter (fun (oi, _) -> Orec.unlock_to o oi ~version:wv) tx.acquired
   end
 
-let begin_attempt tx ~ro =
+let begin_attempt tx ~read_only =
   Util.Vec.clear tx.rset;
   Wset.clear tx.wset;
   Util.Vec.clear tx.acquired;
-  tx.ro <- ro;
+  tx.ro <- read_only;
   tx.rv <- Atomic.get clock
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx read_only f =
-  tx.restarts <- 0;
-  ignore (Cm.begin_txn tx.ov);
-  let rec attempt n =
-    begin_attempt tx ~ro:read_only;
-    tx.depth <- 1;
-    match
-      let v = f tx in
-      commit tx;
-      v
-    with
-    | v ->
-        tx.depth <- 0;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.tid;
-        tx.finished_restarts <- tx.restarts;
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        Stm_intf.Stats.abort stats ~tid:tx.tid;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          Util.Backoff.exponential ~attempt:n;
-          attempt (n + 1)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(fun () -> Util.Backoff.exponential ~attempt:n)
-              ~cleanup:(fun () -> ())
-              ~reasons:(fun () -> [])
-          with
-          | Cm.Retry -> attempt (n + 1)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              attempt (n + 1)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        (* Lazy locking: the body holds no locks, but an exception
-           escaping mid-commit may — release them to their pre-lock
-           versions before propagating. *)
-        release_acquired_old tx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt 1
+  let name = name
+  let obs = obs
+  let stats = stats
+  let get_tx = get_tx
+  let loop tx = tx.lp
+  let begin_attempt = begin_attempt
+  let commit = commit
+  let rollback = rollback
 
-let atomic ?(read_only = false) f =
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx
-  else Admission.guard (fun () -> run tx read_only f)
+  include Txn_loop.Backoff_hooks
+end)
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
 let clock_ops () = Stm_intf.Stats.clock_ops stats
-let reset_stats () = Stm_intf.Stats.reset stats
-let last_restarts () = (get_tx ()).finished_restarts
 let leaked_locks () =
   if !built then Orec.locked_count (Util.Once.get orecs) else 0

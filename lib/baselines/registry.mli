@@ -6,12 +6,12 @@
 val twoplsf : (module Stm_intf.STM)
 
 val all : (module Stm_intf.STM) list
-(** 2PLSF plus every baseline, in the order the paper's figures list them,
-    then the extensions (wound-wait, 2PLSF write-back).  {!Tictoc_stm} is
-    deliberately *not* here: it is serializable but not opaque, so the
-    opacity-assuming test batteries and benchmarks that iterate this list
-    would (correctly) fail on it — its guarantees are exercised separately
-    in [test/test_opacity.ml] and ablation A4. *)
+(** 2PLSF plus every opaque baseline, in the order the paper's figures
+    list them, then the extensions (wound-wait, 2PLSF write-back).
+    {!Tictoc_stm} is deliberately *not* here: it is serializable but not
+    opaque, so the opacity-assuming test batteries and benchmarks that
+    iterate this list would (correctly) fail on it — its guarantees are
+    exercised separately in [test/test_opacity.ml] and ablation A4. *)
 
 val figure2 : (module Stm_intf.STM) list
 (** The three 2PL variants of Figure 2: 2PL-RW, 2PL-RW-Dist, 2PLSF. *)
@@ -20,8 +20,12 @@ val main_set : (module Stm_intf.STM) list
 (** The STMs plotted in Figures 3–8: TL2, TinySTM, TLRW-Z, OREC-Z, OFWF and
     2PLSF. *)
 
+val names : string list
+(** What {!find} resolves: the names of {!all}, then "TicToc-STM". *)
+
 val find : string -> (module Stm_intf.STM)
-(** Look an STM up by its [name]; raises [Not_found]. *)
+(** Look an STM up by its [name] among {!all} and {!Tictoc_stm}; raises
+    [Not_found]. *)
 
 val chaos_wrap : (module Stm_intf.STM) -> (module Stm_intf.STM)
 (** Wrap an STM so every top-level [atomic] body passes through the

@@ -1,11 +1,7 @@
 let name = "TinySTM"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
 module Chaos = Twoplsf_chaos.Chaos
-
-exception Restart
 
 (* Reintroducible bugs: each variant undoes one of the latent-race fixes
    this STM shipped with, so the schedule-exploration regression corpus
@@ -49,14 +45,7 @@ type tx = {
   undo : Wset.t;
   wlocks : (int * int) Util.Vec.t; (* (orec index, pre-lock version) *)
   mutable ro : bool;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  mutable abort_reason : Obs.Events.abort_reason;
-  mutable c_orec : int; (* orec the in-flight abort is pinned on, or -1 *)
-  mutable c_owner : int; (* its lock owner at detection time, or -1 *)
-  ov : Cm.state;
+  lp : Txn_loop.t;
 }
 
 let obs = Obs.Scope.create name
@@ -78,21 +67,15 @@ let stats = Stm_intf.Stats.create ()
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
-        tid = Util.Tid.get ();
+        tid;
         rv = 0;
         rset = Util.Vec.create ~dummy:(-1, -1) ();
         undo = Wset.create ();
         wlocks = Util.Vec.create ~dummy:(-1, -1) ();
         ro = false;
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        abort_reason = Obs.Events.User_restart;
-        c_orec = -1;
-        c_owner = -1;
-        ov = Cm.make_state ();
+        lp = Txn_loop.make ~tid;
       })
 
 let get_tx () = Domain.DLS.get tx_key
@@ -100,18 +83,8 @@ let get_tx () = Domain.DLS.get tx_key
 (* Pin the in-flight abort on orec [oi] (conflict-cartography provenance):
    the aborter is the lock owner when [word] is locked. *)
 let pin tx oi word =
-  tx.c_orec <- oi;
-  tx.c_owner <- (if Orec.is_locked word then Orec.owner word else -1)
-
-let wlock_old_version tx oi =
-  let n = Util.Vec.length tx.wlocks in
-  let rec go i =
-    if i >= n then None
-    else
-      let oj, old_version = Util.Vec.get tx.wlocks i in
-      if oj = oi then Some old_version else go (i + 1)
-  in
-  go 0
+  tx.lp.lock <- oi;
+  tx.lp.aborter <- Orec.holder word
 
 (* A self-locked orec in the read set is valid only if we locked it at
    exactly the version the read observed: the lock hides the version
@@ -129,7 +102,7 @@ let check_read o tx (oi, observed) =
        self-locked orec validates, hiding commits that slid in between
        the read and our own lock acquisition. *)
     if !active_bug <> Some Lock_toctou then
-      match wlock_old_version tx oi with
+      match Orec.pre_lock_version tx.wlocks oi with
       | Some old_version when old_version = observed -> ()
       | Some _ | None ->
           pin tx oi w;
@@ -156,8 +129,8 @@ let extend tx =
 
 (* Stamp the abort reason at the raise site, like the other baselines. *)
 let restart tx reason =
-  tx.abort_reason <- reason;
-  raise Restart
+  tx.lp.reason <- reason;
+  raise Txn_loop.Restart
 
 let rec read tx (tv : 'a tvar) : 'a =
   let o = Util.Once.get orecs in
@@ -284,10 +257,7 @@ let rollback tx =
            abort invisible to a reader that fetched the in-flight value
            between its two lock-word loads (the dirty-read ABA the fresh
            version below closes). *)
-        let o = Util.Once.get orecs in
-        Util.Vec.iter
-          (fun (oi, old_version) -> Orec.unlock_to o oi ~version:old_version)
-          tx.wlocks
+        Orec.restore (Util.Once.get orecs) tx.wlocks
     | _ ->
         let wv = 1 + Atomic.fetch_and_add clock 1 in
         Stm_intf.Stats.clock_op stats ~tid:tx.tid;
@@ -303,115 +273,33 @@ let commit tx =
     Stm_intf.Stats.clock_op stats ~tid:tx.tid;
     if wv <> tx.rv + 1 && not (validate_read_set tx) then begin
       rollback tx;
-      tx.abort_reason <- Obs.Events.Commit_validation;
-      raise Restart
+      restart tx Obs.Events.Commit_validation
     end;
     release_wlocks_to tx wv
   end
 
-let begin_attempt tx ~ro =
+let begin_attempt tx ~read_only =
   Util.Vec.clear tx.rset;
   Wset.clear tx.undo;
   Util.Vec.clear tx.wlocks;
-  tx.ro <- ro;
-  tx.abort_reason <- Obs.Events.User_restart;
-  tx.c_orec <- -1;
-  tx.c_owner <- -1;
+  tx.ro <- read_only;
   tx.rv <- Atomic.get clock
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx read_only f =
-  tx.restarts <- 0;
-  ignore (Cm.begin_txn tx.ov);
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let commit_t0 = ref 0 in
-  (* Native inter-attempt wait, attributed to [Backoff] under telemetry. *)
-  let native_wait n () =
-    if telemetry then begin
-      let t0 = Obs.Telemetry.now_ns () in
-      Util.Backoff.exponential ~attempt:n;
-      Obs.Scope.phase_add obs ~tid:tx.tid Obs.Phase.Backoff
-        (Obs.Telemetry.now_ns () - t0)
-    end
-    else Util.Backoff.exponential ~attempt:n
-  in
-  let rec attempt n att_t0 =
-    begin_attempt tx ~ro:read_only;
-    tx.depth <- 1;
-    match
-      let v = f tx in
-      (* Commit-time validation and lock release count as [Commit]. *)
-      if telemetry then commit_t0 := Obs.Telemetry.now_ns ();
-      commit tx;
-      v
-    with
-    | v ->
-        tx.depth <- 0;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:!commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback tx;
-        Stm_intf.Stats.abort stats ~tid:tx.tid;
-        if telemetry then
-          Obs.Scope.txn_abort obs ~aborter:tx.c_owner ~lock:tx.c_orec
-            ~tid:tx.tid ~att_t0_ns:att_t0 tx.abort_reason;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          native_wait n ();
-          attempt (n + 1)
-            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(native_wait n)
-              ~cleanup:(fun () -> ())
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              attempt (n + 1)
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.tid Obs.Events.Irrevocable_fallback;
-              attempt (n + 1)
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.tid else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback tx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt 1 txn_t0
+  let name = name
+  let obs = obs
+  let stats = stats
+  let get_tx = get_tx
+  let loop tx = tx.lp
+  let begin_attempt = begin_attempt
+  let commit = commit
+  let rollback = rollback
 
-let atomic ?(read_only = false) f =
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx
-  else Admission.guard (fun () -> run tx read_only f)
+  include Txn_loop.Backoff_hooks
+end)
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
 let clock_ops () = Stm_intf.Stats.clock_ops stats
-let reset_stats () =
-  Stm_intf.Stats.reset stats;
-  Obs.Scope.reset obs
-let last_restarts () = (get_tx ()).finished_restarts
 let leaked_locks () =
   if !built then Orec.locked_count (Util.Once.get orecs) else 0

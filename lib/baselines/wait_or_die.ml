@@ -3,10 +3,6 @@ module Rwl_sf = Twoplsf.Rwl_sf
 let name = "2PL-WaitDie"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
-
-exception Restart
 
 open Tvar (* brings the { id; v } field labels into scope *)
 
@@ -19,12 +15,7 @@ type tx = {
   ctx : Rwl_sf.ctx; (* also holds the read set *)
   wlocks : int Util.Vec.t;
   undo : Wset.t;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
-  mutable abort_reason : Obs.Events.abort_reason;
+  lp : Txn_loop.t;
 }
 
 let requested_num_locks = ref 65536
@@ -52,26 +43,25 @@ let tx_key =
         ctx = Rwl_sf.make_ctx ~tid;
         wlocks = Util.Vec.create ~dummy:(-1) ();
         undo = Wset.create ();
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
-        abort_reason = Obs.Events.User_restart;
+        lp = Txn_loop.make ~tid;
       })
 
 let get_tx () = Domain.DLS.get tx_key
+
+(* The shared Rwl_sf slow path pins the conflicting lock and owner in the
+   ctx, exactly as for 2PLSF proper. *)
+let conflict tx reason =
+  Txn_loop.restart tx.lp reason ~aborter:tx.ctx.Rwl_sf.o_tid
+    ~lock:tx.ctx.Rwl_sf.o_lock
 
 let read tx (tv : 'a tvar) : 'a =
   let t = tx.tbl in
   if Rwl_sf.try_or_wait_read_lock t tx.ctx (Rwl_sf.lock_index t tv.id) then
     tv.v
-  else begin
-    tx.abort_reason <-
+  else
+    conflict tx
       (if tx.ctx.Rwl_sf.deadline_hit then Obs.Events.Deadline
-       else Obs.Events.Read_lock_conflict);
-    raise Restart
-  end
+       else Obs.Events.Read_lock_conflict)
 
 let write tx tv nv =
   let t = tx.tbl in
@@ -82,13 +72,11 @@ let write tx tv nv =
     Wset.log_old_once tx.undo tv tv.v;
     tv.v <- nv
   end
-  else begin
-    tx.abort_reason <-
+  else
+    conflict tx
       (if tx.ctx.Rwl_sf.deadline_hit then Obs.Events.Deadline
        else if tx.ctx.Rwl_sf.preempted then Obs.Events.Priority_preemption
-       else Obs.Events.Write_lock_conflict);
-    raise Restart
-  end
+       else Obs.Events.Write_lock_conflict)
 
 let release tx =
   Util.Vec.iter (fun w -> Rwl_sf.write_unlock tx.tbl tx.ctx w) tx.wlocks;
@@ -101,7 +89,8 @@ let rollback tx =
 (* After dying, wait until no in-flight transaction has a lower timestamp
    — even non-conflicting ones (the wait-or-die behaviour §2.1 contrasts
    with 2PLSF's wait-for-the-specific-conflictor). *)
-let wait_for_all_lower t tx =
+let wait_for_all_lower tx ~attempt:_ =
+  let t = tx.tbl in
   let b = Util.Backoff.create () in
   let someone_lower () =
     let hwm = Util.Tid.high_water () in
@@ -119,116 +108,49 @@ let wait_for_all_lower t tx =
     Util.Backoff.once b
   done
 
-let begin_attempt t tx =
+let begin_attempt tx ~read_only:_ =
   Util.Vec.clear tx.wlocks;
   Wset.clear tx.undo;
-  tx.abort_reason <- Obs.Events.User_restart;
   (* The wait-or-die signature: a timestamp on *every* transaction (kept
      across restarts so progress is guaranteed). *)
-  Rwl_sf.take_timestamp t tx.ctx
+  Rwl_sf.take_timestamp tx.tbl tx.ctx
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+(* Drop the announced timestamp: at commit, and before a typed exception
+   escapes so no surviving transaction keeps deferring to a dead one. *)
+let retire tx = Rwl_sf.clear_announcement tx.tbl tx.ctx
 
-let run tx f =
-  tx.restarts <- 0;
-  tx.ctx.Rwl_sf.deadline_ns <- Cm.begin_txn tx.ov;
-  tx.ctx.Rwl_sf.deadline_hit <- false;
-  let t = tx.tbl in
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let rec attempt att_t0 =
-    begin_attempt t tx;
-    tx.depth <- 1;
-    match f tx with
-    | v ->
-        tx.depth <- 0;
-        let commit_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-        release tx;
-        Rwl_sf.clear_announcement t tx.ctx;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.ctx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback tx;
-        tx.ctx.Rwl_sf.deadline_hit <- false;
-        Stm_intf.Stats.abort stats ~tid:tx.ctx.tid;
-        if telemetry then begin
-          (* The shared Rwl_sf slow path pins the conflicting lock and
-             owner in the ctx, exactly as for 2PLSF proper. *)
-          let aborter, lock =
-            match tx.abort_reason with
-            | Obs.Events.User_restart -> (-1, -1)
-            | _ -> (tx.ctx.Rwl_sf.o_tid, tx.ctx.Rwl_sf.o_lock)
-          in
-          Obs.Scope.txn_abort obs ~aborter ~lock ~tid:tx.ctx.tid
-            ~att_t0_ns:att_t0 tx.abort_reason
-        end;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then begin
-          (* Serial slow path: the kept (now oldest-aging) timestamp plus
-             the fallback mutex guarantee eventual commit. *)
-          wait_for_all_lower t tx;
-          attempt
-            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
-        end
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-              ~native_wait:(fun () -> wait_for_all_lower t tx)
-                (* Drop the announced timestamp before bailing out so no
-                   surviving transaction keeps deferring to a dead one. *)
-              ~cleanup:(fun () -> Rwl_sf.clear_announcement t tx.ctx)
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              tx.ctx.Rwl_sf.deadline_ns <- tx.ov.Cm.deadline;
-              attempt
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
-                 else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              tx.ctx.Rwl_sf.deadline_ns <- 0;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.ctx.tid
-                  Obs.Events.Irrevocable_fallback;
-              attempt
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
-                 else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback tx;
-        Rwl_sf.clear_announcement t tx.ctx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt txn_t0
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let atomic ?read_only f =
-  ignore read_only;
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx else Admission.guard (fun () -> run tx f)
+  let name = name
+  let obs = obs
+  let stats = stats
+  let get_tx = get_tx
+  let loop tx = tx.lp
+  let begin_attempt = begin_attempt
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
+  let commit tx =
+    release tx;
+    retire tx
+
+  let rollback = rollback
+
+  (* After dying, and on the serial slow path too, where the kept (now
+     oldest-aging) timestamp plus the fallback mutex guarantee eventual
+     commit. *)
+  let native_wait = wait_for_all_lower
+  let retire = retire
+
+  let set_deadline tx d =
+    tx.ctx.Rwl_sf.deadline_ns <- d;
+    tx.ctx.Rwl_sf.deadline_hit <- false
+end)
+
 let clock_ops () = Rwl_sf.clock_increments (Util.Once.get table)
 
 let reset_stats () =
-  Stm_intf.Stats.reset stats;
-  Rwl_sf.reset_clock_increments (Util.Once.get table);
-  Obs.Scope.reset obs
-let last_restarts () = (get_tx ()).finished_restarts
+  reset_stats ();
+  Rwl_sf.reset_clock_increments (Util.Once.get table)
+
 let leaked_locks () =
   if !built then Rwl_sf.leaked (Util.Once.get table) else 0

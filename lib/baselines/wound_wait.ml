@@ -3,11 +3,7 @@ open Tvar (* brings the { id; v } field labels into scope *)
 let name = "2PL-WoundWait"
 
 module Obs = Twoplsf_obs
-module Cm = Twoplsf_cm.Cm
-module Admission = Twoplsf_cm.Admission
 module Chaos = Twoplsf_chaos.Chaos
-
-exception Restart
 
 type 'a tvar = 'a Tvar.t
 
@@ -30,12 +26,7 @@ type tx = {
   rset : int Util.Vec.t;
   wlocks : int Util.Vec.t;
   undo : Wset.t;
-  mutable depth : int;
-  mutable restarts : int;
-  mutable finished_restarts : int;
-  mutable escalated : bool; (* overload fallback: Cm.Fallback mutex held *)
-  ov : Cm.state;
-  mutable abort_reason : Obs.Events.abort_reason;
+  lp : Txn_loop.t;
 }
 
 type table = {
@@ -76,10 +67,11 @@ let obs = Obs.Scope.create name
 
 let tx_key =
   Domain.DLS.new_key (fun () ->
+      let tid = Util.Tid.get () in
       {
         ctx =
           {
-            tid = Util.Tid.get ();
+            tid;
             my_ts = 0;
             deadline_ns = 0;
             deadline_hit = false;
@@ -89,12 +81,7 @@ let tx_key =
         rset = Util.Vec.create ~dummy:(-1) ();
         wlocks = Util.Vec.create ~dummy:(-1) ();
         undo = Wset.create ();
-        depth = 0;
-        restarts = 0;
-        finished_restarts = 0;
-        escalated = false;
-        ov = Cm.make_state ();
-        abort_reason = Obs.Events.User_restart;
+        lp = Txn_loop.make ~tid;
       })
 
 let get_tx () = Domain.DLS.get tx_key
@@ -227,6 +214,14 @@ let acquire_write t ctx w =
     loop ()
   end
 
+(* A failed acquisition: wounded by an older transaction, or out of
+   deadline. *)
+let wounded tx =
+  Txn_loop.restart tx.lp
+    (if tx.ctx.deadline_hit then Obs.Events.Deadline
+     else Obs.Events.Priority_preemption)
+    ~aborter:tx.ctx.o_tid ~lock:tx.ctx.o_lock
+
 let read tx (tv : 'a tvar) : 'a =
   let t = Util.Once.get table in
   let w = tv.id land t.mask in
@@ -238,12 +233,7 @@ let read tx (tv : 'a tvar) : 'a =
     Util.Vec.push tx.rset w;
     tv.v
   end
-  else begin
-    tx.abort_reason <-
-      (if tx.ctx.deadline_hit then Obs.Events.Deadline
-       else Obs.Events.Priority_preemption);
-    raise Restart
-  end
+  else wounded tx
 
 let write tx tv nv =
   let t = Util.Once.get table in
@@ -254,14 +244,10 @@ let write tx tv nv =
     Wset.log_old_once tx.undo tv tv.v;
     tv.v <- nv
   end
-  else begin
-    tx.abort_reason <-
-      (if tx.ctx.deadline_hit then Obs.Events.Deadline
-       else Obs.Events.Priority_preemption);
-    raise Restart
-  end
+  else wounded tx
 
-let release t tx =
+let release tx =
+  let t = Util.Once.get table in
   Util.Vec.iter
     (fun w -> if Atomic.get t.wlocks.(w) = tx.ctx.tid + 1 then Atomic.set t.wlocks.(w) 0)
     tx.wlocks;
@@ -269,125 +255,63 @@ let release t tx =
     (fun w -> Rwlock.Read_indicator.depart t.ri ~tid:tx.ctx.tid w)
     tx.rset
 
-let rollback t tx =
+let rollback tx =
   Wset.rollback tx.undo;
-  release t tx
+  release tx
 
-let begin_attempt t tx =
+let begin_attempt tx ~read_only:_ =
+  let t = Util.Once.get table in
   Util.Vec.clear tx.rset;
   Util.Vec.clear tx.wlocks;
   Wset.clear tx.undo;
   Atomic.set t.wounded.(tx.ctx.tid) 0;
   tx.ctx.o_tid <- -1;
   tx.ctx.o_lock <- -1;
-  tx.abort_reason <- Obs.Events.User_restart;
   if tx.ctx.my_ts = 0 then begin
     tx.ctx.my_ts <- Atomic.fetch_and_add t.clock 1;
     Stm_intf.Stats.clock_op stats ~tid:tx.ctx.tid;
     Atomic.set t.announce.(tx.ctx.tid) tx.ctx.my_ts
   end
 
-let finish t tx =
+(* Retire the timestamp: at commit, and before a typed exception escapes
+   so younger transactions stop wounding themselves against it.  A
+   restart keeps it: the restarted transaction ages toward oldest, which
+   is the starvation-freedom argument. *)
+let finish tx =
+  let t = Util.Once.get table in
   tx.ctx.my_ts <- 0;
   Atomic.set t.announce.(tx.ctx.tid) 0;
   Atomic.set t.wounded.(tx.ctx.tid) 0
 
-let finish_escalation tx =
-  if tx.escalated then begin
-    tx.escalated <- false;
-    Cm.Fallback.release ()
-  end
+include Txn_loop.Make (struct
+  type nonrec tx = tx
 
-let run tx f =
-  tx.restarts <- 0;
-  tx.ctx.deadline_ns <- Cm.begin_txn tx.ov;
-  tx.ctx.deadline_hit <- false;
-  let t = Util.Once.get table in
-  let telemetry = !Obs.Telemetry.on in
-  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-  let rec attempt att_t0 =
-    begin_attempt t tx;
-    tx.depth <- 1;
-    match f tx with
-    | v ->
-        tx.depth <- 0;
-        (* A wound that arrives after the last acquisition is too late:
-           the transaction has all its locks and commits (standard
-           wound-wait: finished transactions are not aborted). *)
-        let commit_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-        release t tx;
-        finish t tx;
-        finish_escalation tx;
-        Stm_intf.Stats.commit stats ~tid:tx.ctx.tid;
-        tx.finished_restarts <- tx.restarts;
-        if telemetry then
-          Obs.Scope.txn_commit obs ~tid:tx.ctx.tid ~txn_t0_ns:txn_t0
-            ~att_t0_ns:att_t0 ~commit_t0_ns:commit_t0 ();
-        v
-    | exception Restart ->
-        tx.depth <- 0;
-        rollback t tx;
-        tx.ctx.deadline_hit <- false;
-        Stm_intf.Stats.abort stats ~tid:tx.ctx.tid;
-        if telemetry then
-          Obs.Scope.txn_abort obs ~aborter:tx.ctx.o_tid ~lock:tx.ctx.o_lock
-            ~tid:tx.ctx.tid ~att_t0_ns:att_t0 tx.abort_reason;
-        tx.restarts <- tx.restarts + 1;
-        if tx.escalated then
-          attempt
-            (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid else 0)
-        else begin
-          match
-            Cm.after_abort ~stm:name ~tid:tx.ctx.tid ~restarts:tx.restarts
-              ~st:tx.ov
-                (* Keep the timestamp on retry: the restarted transaction
-                   ages toward oldest, which is the starvation-freedom
-                   argument; wound-wait's native inter-attempt wait is
-                   "none". *)
-              ~native_wait:(fun () -> ())
-                (* Retire the timestamp before bailing out so younger
-                   transactions stop wounding themselves against it. *)
-              ~cleanup:(fun () -> finish t tx)
-              ~reasons:(fun () ->
-                if telemetry then Obs.Scope.abort_counts obs else [])
-          with
-          | Cm.Retry ->
-              tx.ctx.deadline_ns <- tx.ov.Cm.deadline;
-              attempt
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
-                 else 0)
-          | Cm.Escalate ->
-              Cm.Fallback.acquire ();
-              tx.escalated <- true;
-              tx.ctx.deadline_ns <- 0;
-              if telemetry then
-                Obs.Scope.event obs ~tid:tx.ctx.tid
-                  Obs.Events.Irrevocable_fallback;
-              attempt
-                (if telemetry then Obs.Scope.retry_start obs ~tid:tx.ctx.tid
-                 else 0)
-        end
-    | exception e ->
-        tx.depth <- 0;
-        rollback t tx;
-        finish t tx;
-        finish_escalation tx;
-        raise e
-  in
-  attempt txn_t0
+  let name = name
+  let obs = obs
+  let stats = stats
+  let get_tx = get_tx
+  let loop tx = tx.lp
+  let begin_attempt = begin_attempt
 
-let atomic ?read_only f =
-  ignore read_only;
-  let tx = get_tx () in
-  if tx.depth > 0 then f tx else Admission.guard (fun () -> run tx f)
+  (* A wound that arrives after the last acquisition is too late: the
+     transaction has all its locks and commits (standard wound-wait:
+     finished transactions are not aborted). *)
+  let commit tx =
+    release tx;
+    finish tx
 
-let commits () = Stm_intf.Stats.commits stats
-let aborts () = Stm_intf.Stats.aborts stats
+  let rollback = rollback
+
+  (* Wound-wait's native inter-attempt wait is "none". *)
+  let native_wait _ ~attempt:_ = ()
+  let retire = finish
+
+  let set_deadline tx d =
+    tx.ctx.deadline_ns <- d;
+    tx.ctx.deadline_hit <- false
+end)
+
 let clock_ops () = Stm_intf.Stats.clock_ops stats
-let reset_stats () =
-  Stm_intf.Stats.reset stats;
-  Obs.Scope.reset obs
-let last_restarts () = (get_tx ()).finished_restarts
 
 let leaked_locks () =
   if not !built then 0

@@ -1,14 +1,15 @@
 (** Pluggable contention management and the overload-protection decision
     procedure (DESIGN.md §11).
 
-    Every STM's restart arm calls {!after_abort}, which implements the
-    escalation ladder — retry (paced by the installed wait policy) →
-    bounded restarts → per-transaction deadline → serial-irrevocable
-    fallback or a typed exception ({!Stm_intf.Starved} /
-    {!Stm_intf.Deadline_exceeded}).  The [Paper_wait] policy reproduces
-    each STM's pre-existing behaviour exactly and is the default, so
-    figure reproduction is unchanged unless a different
-    {!Stm_intf.policy} is installed. *)
+    Every STM's restart arm calls {!after_abort}: the 2PLSF family's own
+    loops, [Baselines.Txn_loop] for every other baseline but OneFile,
+    and OneFile's read path.  It implements the escalation ladder —
+    retry (paced by the installed wait policy) → bounded restarts →
+    per-transaction deadline → serial-irrevocable fallback or a typed
+    exception ({!Stm_intf.Starved} / {!Stm_intf.Deadline_exceeded}).
+    The [Paper_wait] policy reproduces each STM's pre-existing behaviour
+    exactly and is the default, so figure reproduction is unchanged
+    unless a different {!Stm_intf.policy} is installed. *)
 
 type verdict =
   | Retry  (** re-attempt the transaction (the wait already happened) *)

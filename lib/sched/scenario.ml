@@ -61,13 +61,6 @@ let supported =
 
 let twoplsf_family = [ "2PLSF"; "2PLSF-WB"; "2PLSF-WBD" ]
 
-(* TicToc is deliberately absent from [Registry.all] (it is serializable
-   for update transactions but skips commit validation for read-only
-   ones — the non-opacity test_opacity.ml exercises). *)
-let resolve = function
-  | "TicToc-STM" -> (module Baselines.Tictoc_stm : Stm_intf.STM)
-  | name -> Baselines.Registry.find name
-
 let run ?(strategy = Sched.Round_robin) ?(max_steps = 200_000) ?chaos
     (p : Trace.scenario) =
   if not (List.mem p.stm supported) then
@@ -78,7 +71,7 @@ let run ?(strategy = Sched.Round_robin) ?(max_steps = 200_000) ?chaos
   if p.threads < 1 || p.accounts < 2 || p.txns_per_thread < 0 then
     invalid_arg "Scenario.run: bad workload parameters";
   let (module S : Stm_intf.STM) =
-    Baselines.Registry.chaos_wrap (resolve p.stm)
+    Baselines.Registry.chaos_wrap (Baselines.Registry.find p.stm)
   in
   let bug = Option.map Baselines.Tinystm.bug_of_string p.bug in
   let saved_policy = Stm_intf.current_policy () in

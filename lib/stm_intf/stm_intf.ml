@@ -18,7 +18,8 @@ exception
     restarts : int;  (** attempts consumed before giving up *)
     abort_reasons : (string * int) list;
         (** the STM's telemetry abort-reason snapshot at exhaustion time
-            ([[]] when telemetry is off or the STM has no scope) *)
+            ([[]] when telemetry is off, or for OneFile, the one STM
+            without a scope) *)
   }
 (** Raised by {!STM.atomic} instead of retrying forever when the
     {!policy}'s [max_restarts] bound is hit and the serial-irrevocable

@@ -154,41 +154,58 @@ let test_padded_counters () =
 
 module S = Twoplsf.Stm
 
-let contended_run () =
-  let tvs = Array.init 8 (fun _ -> S.tvar 0) in
+let contended_run_on (module X : Stm_intf.STM) =
+  let tvs = Array.init 8 (fun _ -> X.tvar 0) in
   let _ =
     Harness.Exec.run_each ~threads:4 (fun i ->
         for _ = 1 to 400 do
-          S.atomic (fun tx ->
+          X.atomic (fun tx ->
               if i land 1 = 0 then
                 for j = 0 to 7 do
-                  S.write tx tvs.(j) (S.read tx tvs.(j) + 1)
+                  X.write tx tvs.(j) (X.read tx tvs.(j) + 1)
                 done
               else
                 for j = 7 downto 0 do
-                  S.write tx tvs.(j) (S.read tx tvs.(j) + 1)
+                  X.write tx tvs.(j) (X.read tx tvs.(j) + 1)
                 done)
         done)
   in
-  Array.fold_left (fun acc tv -> acc + S.atomic (fun tx -> S.read tx tv)) 0 tvs
+  Array.fold_left (fun acc tv -> acc + X.atomic (fun tx -> X.read tx tv)) 0 tvs
 
-let test_abort_reasons_sum () =
+let contended_run () = contended_run_on (module S)
+
+(* Every STM that runs through [Baselines.Txn_loop]. *)
+let loop_users =
+  List.map Baselines.Registry.find
+    [
+      "TL2";
+      "TinySTM";
+      "TicToc-STM";
+      "OREC-Z";
+      "TLRW";
+      "2PL-RW";
+      "2PL-RW-Dist";
+      "2PL-WaitDie";
+      "2PL-WoundWait";
+    ]
+
+let test_abort_reasons_sum (module X : Stm_intf.STM) () =
   Obs.Telemetry.enable ();
-  S.reset_stats ();
-  let total = contended_run () in
+  X.reset_stats ();
+  let total = contended_run_on (module X) in
   (* 4 domains x 400 txns x 8 increments, plus the 8 verification reads *)
   check Alcotest.int "counter total" (4 * 400 * 8) total;
   let sc =
-    match Obs.Scope.find "2PLSF" with
+    match Obs.Scope.find X.name with
     | Some sc -> sc
-    | None -> Alcotest.fail "no 2PLSF scope"
+    | None -> Alcotest.failf "no %s scope" X.name
   in
   let reasons = Obs.Scope.abort_counts sc in
   check Alcotest.int "reason count" Obs.Events.num_abort_reasons
     (List.length reasons);
   let sum = List.fold_left (fun a (_, n) -> a + n) 0 reasons in
-  check Alcotest.int "reasons sum to aborts ()" (S.aborts ()) sum;
-  check Alcotest.int "aborts_total agrees" (S.aborts ())
+  check Alcotest.int "reasons sum to aborts ()" (X.aborts ()) sum;
+  check Alcotest.int "aborts_total agrees" (X.aborts ())
     (Obs.Scope.aborts_total sc)
 
 (* ---- Latency-phase accounting ---- *)
@@ -910,8 +927,15 @@ let () =
       ( "taxonomy",
         [
           Alcotest.test_case "reasons sum to aborts" `Quick
-            test_abort_reasons_sum;
-        ] );
+            (test_abort_reasons_sum (module S));
+        ]
+        @ List.map
+            (fun (module X : Stm_intf.STM) ->
+              Alcotest.test_case
+                ("reasons sum to aborts, " ^ X.name)
+                `Quick
+                (test_abort_reasons_sum (module X)))
+            loop_users );
       ( "phases",
         [
           Alcotest.test_case "deterministic lifecycle" `Quick
