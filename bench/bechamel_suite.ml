@@ -7,8 +7,9 @@
    a structure operation: one read-lock acquire, one transactional
    read; the [dbx/] rows split a YCSB transaction into generating it and
    executing it; [wal/] prices one durable commit's log append and
-   acknowledgement.  Each row prints minor-heap words and nanoseconds per
-   operation. *)
+   acknowledgement, and [util/crc32] the checksum that seals its record
+   (852 bytes) and a checkpoint image (per MiB).  Each row prints
+   minor-heap words and nanoseconds per operation. *)
 
 open Bechamel
 
@@ -101,6 +102,9 @@ let tests () =
   let tvs = Array.init 64 (fun i -> Twoplsf.Stm.tvar i) in
   let wal = temp_wal () in
   let wal_rid i = i * 8 in
+  (* 852 bytes: one 8-write commit record of 100-byte rows. *)
+  let crc_record = Bytes.make (Twoplsf_wal.Record.size ~nwrites:8 ~row_len:100) 'r' in
+  let crc_mib = Bytes.make (1 lsl 20) 'm' in
   [
     Test.make ~name:"rwl_sf/read acquire held lock"
       (Staged.stage (fun () ->
@@ -153,6 +157,10 @@ let tests () =
       (Staged.stage (fun () ->
            txn_i := (!txn_i + 1) land 63;
            ignore (Dbx.Cc_2plsf.execute cc ~tid txns.(!txn_i))));
+    Test.make ~name:"util/crc32 852 B"
+      (Staged.stage (fun () -> ignore (Util.Crc32.bytes crc_record)));
+    Test.make ~name:"util/crc32 1 MiB"
+      (Staged.stage (fun () -> ignore (Util.Crc32.bytes crc_mib)));
     Test.make ~name:"wal/commit+ack 8 writes"
       (Staged.stage (fun () ->
            for i = 0 to 7 do

@@ -102,10 +102,22 @@ let am_wounded t ctx =
   end
   else false
 
+(* One wait step.  Under the cooperative scheduler ([Chaos.hook] set)
+   the next iteration's sync point already hands the CPU over, and a
+   sleep would only stretch the search's wall time: the backoff's clock
+   keeps running while the scheduler has the worker parked. *)
+let pause b = match !Chaos.hook with None -> Util.Backoff.once b | Some _ -> ()
+
 (* Older (lower-ts) requesters wound the conflicting owner(s) and wait;
    younger ones just wait.  A wounded transaction notices at its next
-   acquisition attempt and restarts. *)
-let acquire_read t ctx w =
+   acquisition attempt and restarts.
+
+   [acquire_read]/[acquire_write] first try once with no wait state, so
+   an uncontended acquisition allocates nothing; a failed try leaves
+   nothing held that the wait loop would not also handle.  Under chaos
+   the loop runs from its first step, so its sync points are those of a
+   plain loop. *)
+let read_wait t ctx w =
   let telemetry = !Obs.Telemetry.on in
   let t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
   let b = Util.Backoff.create () in
@@ -145,7 +157,81 @@ let acquire_read t ctx w =
         ctx.o_lock <- w;
         if ctx.my_ts < ts_of t holder then wound t ~by:ctx.tid holder;
         incr spins;
-        Util.Backoff.once b;
+        pause b;
+        loop ()
+      end
+    end
+  in
+  loop ()
+
+let acquire_read t ctx w =
+  (not !Chaos.on)
+  && (not (am_wounded t ctx))
+  && (not (deadline_blown ctx))
+  && begin
+       Rwlock.Read_indicator.arrive t.ri ~tid:ctx.tid w;
+       let ws = Atomic.get t.wlocks.(w) in
+       ws = 0 || ws = ctx.tid + 1
+       || begin
+            Rwlock.Read_indicator.depart t.ri ~tid:ctx.tid w;
+            false
+          end
+     end
+  || read_wait t ctx w
+
+let write_wait t ctx w =
+  let me = ctx.tid + 1 in
+  let telemetry = !Obs.Telemetry.on in
+  let t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
+  let b = Util.Backoff.create () in
+  let spins = ref 0 in
+  let finish acquired =
+    if telemetry && (!spins > 0 || not acquired) then
+      Obs.Scope.lock_wait obs ~lock:w ~tid:ctx.tid ~write:true ~t0_ns:t0
+        ~spins:!spins ~acquired;
+    acquired
+  in
+  let rec loop () =
+    if !Chaos.on then Chaos.point Chaos.Wound_check;
+    if am_wounded t ctx then begin
+      if Atomic.get t.wlocks.(w) = me then Atomic.set t.wlocks.(w) 0;
+      ctx.o_lock <- w;
+      finish false
+    end
+    else if deadline_blown ctx then begin
+      if Atomic.get t.wlocks.(w) = me then Atomic.set t.wlocks.(w) 0;
+      ctx.deadline_hit <- true;
+      ctx.o_lock <- w;
+      finish false
+    end
+    else begin
+      (if Atomic.get t.wlocks.(w) = 0 then
+         ignore (Atomic.compare_and_set t.wlocks.(w) 0 me));
+      let ws = Atomic.get t.wlocks.(w) in
+      if ws = me then begin
+        if Rwlock.Read_indicator.is_empty t.ri ~self:ctx.tid w then
+          finish true
+        else begin
+          (* Wound younger readers; they depart when they notice. *)
+          Rwlock.Read_indicator.iter_readers t.ri ~self:ctx.tid w
+            (fun reader ->
+              if ctx.my_ts < ts_of t reader then wound t ~by:ctx.tid reader);
+          incr spins;
+          pause b;
+          loop ()
+        end
+      end
+      else if ws = 0 then
+        (* The holder released between the CAS attempt and the load:
+           there is no one to wound, so retry the CAS. *)
+        loop ()
+      else begin
+        let holder = ws - 1 in
+        ctx.o_tid <- holder;
+        ctx.o_lock <- w;
+        if ctx.my_ts < ts_of t holder then wound t ~by:ctx.tid holder;
+        incr spins;
+        pause b;
         loop ()
       end
     end
@@ -154,65 +240,14 @@ let acquire_read t ctx w =
 
 let acquire_write t ctx w =
   let me = ctx.tid + 1 in
-  if Atomic.get t.wlocks.(w) = me then true
-  else begin
-    let telemetry = !Obs.Telemetry.on in
-    let t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
-    let b = Util.Backoff.create () in
-    let spins = ref 0 in
-    let finish acquired =
-      if telemetry && (!spins > 0 || not acquired) then
-        Obs.Scope.lock_wait obs ~lock:w ~tid:ctx.tid ~write:true ~t0_ns:t0
-          ~spins:!spins ~acquired;
-      acquired
-    in
-    let rec loop () =
-      if !Chaos.on then Chaos.point Chaos.Wound_check;
-      if am_wounded t ctx then begin
-        if Atomic.get t.wlocks.(w) = me then Atomic.set t.wlocks.(w) 0;
-        ctx.o_lock <- w;
-        finish false
-      end
-      else if deadline_blown ctx then begin
-        if Atomic.get t.wlocks.(w) = me then Atomic.set t.wlocks.(w) 0;
-        ctx.deadline_hit <- true;
-        ctx.o_lock <- w;
-        finish false
-      end
-      else begin
-        (if Atomic.get t.wlocks.(w) = 0 then
-           ignore (Atomic.compare_and_set t.wlocks.(w) 0 me));
-        let ws = Atomic.get t.wlocks.(w) in
-        if ws = me then begin
-          if Rwlock.Read_indicator.is_empty t.ri ~self:ctx.tid w then
-            finish true
-          else begin
-            (* Wound younger readers; they depart when they notice. *)
-            Rwlock.Read_indicator.iter_readers t.ri ~self:ctx.tid w
-              (fun reader ->
-                if ctx.my_ts < ts_of t reader then wound t ~by:ctx.tid reader);
-            incr spins;
-            Util.Backoff.once b;
-            loop ()
-          end
-        end
-        else if ws = 0 then
-          (* The holder released between the CAS attempt and the load:
-             there is no one to wound, so retry the CAS. *)
-          loop ()
-        else begin
-          let holder = ws - 1 in
-          ctx.o_tid <- holder;
-          ctx.o_lock <- w;
-          if ctx.my_ts < ts_of t holder then wound t ~by:ctx.tid holder;
-          incr spins;
-          Util.Backoff.once b;
-          loop ()
-        end
-      end
-    in
-    loop ()
-  end
+  Atomic.get t.wlocks.(w) = me
+  || (not !Chaos.on)
+     && (not (am_wounded t ctx))
+     && (not (deadline_blown ctx))
+     && Atomic.get t.wlocks.(w) = 0
+     && Atomic.compare_and_set t.wlocks.(w) 0 me
+     && Rwlock.Read_indicator.is_empty t.ri ~self:ctx.tid w
+  || write_wait t ctx w
 
 (* A failed acquisition: wounded by an older transaction, or out of
    deadline. *)
@@ -246,14 +281,18 @@ let write tx tv nv =
   end
   else wounded tx
 
+(* Loops rather than [Vec.iter]: a closure over [t] and [tx] would be
+   allocated at every commit. *)
 let release tx =
   let t = Util.Once.get table in
-  Util.Vec.iter
-    (fun w -> if Atomic.get t.wlocks.(w) = tx.ctx.tid + 1 then Atomic.set t.wlocks.(w) 0)
-    tx.wlocks;
-  Util.Vec.iter
-    (fun w -> Rwlock.Read_indicator.depart t.ri ~tid:tx.ctx.tid w)
-    tx.rset
+  let me = tx.ctx.tid + 1 in
+  for i = 0 to Util.Vec.length tx.wlocks - 1 do
+    let w = Util.Vec.get tx.wlocks i in
+    if Atomic.get t.wlocks.(w) = me then Atomic.set t.wlocks.(w) 0
+  done;
+  for i = 0 to Util.Vec.length tx.rset - 1 do
+    Rwlock.Read_indicator.depart t.ri ~tid:tx.ctx.tid (Util.Vec.get tx.rset i)
+  done
 
 let rollback tx =
   Wset.rollback tx.undo;

@@ -83,6 +83,21 @@ let rollback t p =
   | None -> ());
   release t p
 
+(* The durability wait, after the locks are gone.  A top-level function,
+   so the untraced commit builds no closure. *)
+let await_durable t p w ~lsn =
+  match Wal.wait_durable w ~lsn with
+  | () -> ()
+  | exception Wal.Degraded reason ->
+      (* Locks are gone and the in-memory effect stands, but the record
+         never reached disk: the commit must NOT be acknowledged.  Flip
+         read-only and report the failure to the caller — this is the
+         one divergence between memory and log that recovery resolves by
+         dropping the unacked suffix. *)
+      p.abort_reason <- Obs.Events.Wal_degraded;
+      enter_degraded t reason;
+      readonly_fail t reason
+
 (* Commit finalization under the full write-lock set.  With a WAL
    attached and at least one write, the commit window is where the LSN
    is drawn ([Wal.log_commit] under the locks aligns LSN order with the
@@ -110,27 +125,13 @@ let commit_locked t p =
           release t p;
           Rwl_sf.clear_announcement t.locks p.ctx;
           if !Chaos.on then Chaos.point Chaos.Commit_durable_post;
-          let wait () =
-            match Wal.wait_durable w ~lsn with
-            | () -> ()
-            | exception Wal.Degraded reason ->
-                (* Locks are gone and the in-memory effect stands, but
-                   the record never reached disk: the commit must NOT be
-                   acknowledged.  Flip read-only and report the failure
-                   to the caller — this is the one divergence between
-                   memory and log that recovery resolves by dropping the
-                   unacked suffix. *)
-                p.abort_reason <- Obs.Events.Wal_degraded;
-                enter_degraded t reason;
-                readonly_fail t reason
-          in
           if !Obs.Telemetry.on then begin
             let t0 = Obs.Telemetry.now_ns () in
             Fun.protect
               ~finally:(fun () -> Obs.Scope.fsync_wait obs ~tid:p.ctx.tid ~t0_ns:t0)
-              wait
+              (fun () -> await_durable t p w ~lsn)
           end
-          else wait ())
+          else await_durable t p w ~lsn)
     end
   | _ ->
       release t p;

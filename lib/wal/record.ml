@@ -50,9 +50,9 @@ let get_i64 b pos = Int64.to_int (Bytes.get_int64_le b pos)
 
 (* Encode a commit record into [buf] at [pos].  The rows are pulled
    through callbacks so the caller (the commit window) never builds an
-   intermediate list: [rid i] is the i-th written row id and [row i] the
-   backing bytes of that row (≥ [row_len] long).  Returns the record
-   size in bytes. *)
+   intermediate list or closure: [rid i] is the i-th written row id and
+   [row r] the backing bytes of row [r] (≥ [row_len] long).  Returns the
+   record size in bytes. *)
 let encode buf ~pos ~lsn ~table_id ~row_len ~n ~rid ~row =
   let sz = size ~nwrites:n ~row_len in
   Bytes.unsafe_set buf pos (Char.unsafe_chr magic);
@@ -63,8 +63,9 @@ let encode buf ~pos ~lsn ~table_id ~row_len ~n ~rid ~row =
   set_u16 buf (pos + 14) row_len;
   let off = ref (pos + header_size) in
   for i = 0 to n - 1 do
-    set_u32 buf !off (rid i);
-    Bytes.blit (row i) 0 buf (!off + 4) row_len;
+    let r = rid i in
+    set_u32 buf !off r;
+    Bytes.blit (row r) 0 buf (!off + 4) row_len;
     off := !off + 4 + row_len
   done;
   let crc = Util.Crc32.update 0 buf ~pos ~len:(sz - trailer_size) in

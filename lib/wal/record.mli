@@ -27,8 +27,9 @@ val encode :
   row:(int -> Bytes.t) ->
   int
 (** Encode a commit record into the buffer; rows are pulled through the
-    [rid]/[row] callbacks (no intermediate list).  Returns bytes
-    written, i.e. [size ~nwrites:n ~row_len]. *)
+    callbacks (no intermediate list): [rid i] is the i-th written row
+    id, [row r] the bytes of row [r].  Returns bytes written, i.e.
+    [size ~nwrites:n ~row_len]. *)
 
 type t = {
   r_lsn : int;

@@ -5,18 +5,23 @@
    flag's CAS and releasing store order one consumer's accesses before
    the next one's, so the ring still sees a single consumer.
 
-   Publication protocol: the producer fills the cell's plain fields,
-   then releases them with an atomic store of [tail].  The consumer
-   acquires [tail] before touching any cell, so the OCaml memory model
-   orders the plain accesses (the atomic store/load pair establishes
-   happens-before).  [head] is symmetric in the other direction: the
-   consumer bumps it after it has taken the cell's buffer, which is
-   what licenses the producer to reuse the slot. *)
+   Each slot owns a byte buffer the producer encodes its record into
+   and the consumer copies out of; buffers are reused and only grow (to
+   the largest record they held), so a steady stream of commits
+   allocates nothing.
 
-type cell = { mutable c_lsn : int; mutable c_buf : Bytes.t }
+   Publication protocol: the producer fills the slot's buffer and plain
+   fields, then releases them with an atomic store of [tail].  The
+   consumer acquires [tail] before touching any slot, so the OCaml
+   memory model orders the plain accesses (the atomic store/load pair
+   establishes happens-before).  [head] is symmetric in the other
+   direction: the consumer bumps it after it has copied the record out,
+   which is what licenses the producer to overwrite the slot. *)
 
 type t = {
-  cells : cell array;
+  lsns : int array;
+  lens : int array;
+  bufs : Bytes.t array;
   mask : int;
   head : int Atomic.t;  (* next slot the consumer reads *)
   tail : int Atomic.t;  (* next slot the producer writes *)
@@ -28,7 +33,9 @@ let create ~capacity =
     pow2 1
   in
   {
-    cells = Array.init cap (fun _ -> { c_lsn = 0; c_buf = Bytes.empty });
+    lsns = Array.make cap 0;
+    lens = Array.make cap 0;
+    bufs = Array.make cap Bytes.empty;
     mask = cap - 1;
     head = Atomic.make 0;
     tail = Atomic.make 0;
@@ -38,28 +45,44 @@ let capacity t = t.mask + 1
 
 (* Producer side.  Never waits: nothing drains the ring in the
    background, so the caller decides what to do when it is full. *)
-let try_push t ~lsn buf =
+
+let is_full t = Atomic.get t.head + t.mask + 1 <= Atomic.get t.tail
+
+let reserve t ~len =
   let tail = Atomic.get t.tail in
-  if Atomic.get t.head + t.mask + 1 <= tail then false
+  let i = tail land t.mask in
+  (* On an empty ring every earlier record has been copied out, so the
+     last one's buffer, the one most likely still in cache, moves to
+     this slot: a worker that waits for each commit encodes every record
+     into the same buffer. *)
+  if tail > 0 && Atomic.get t.head = tail then begin
+    let j = (tail - 1) land t.mask in
+    let b = t.bufs.(j) in
+    t.bufs.(j) <- t.bufs.(i);
+    t.bufs.(i) <- b
+  end;
+  let b = t.bufs.(i) in
+  if Bytes.length b >= len then b
   else begin
-    let c = t.cells.(tail land t.mask) in
-    c.c_lsn <- lsn;
-    c.c_buf <- buf;
-    Atomic.set t.tail (tail + 1);
-    true
+    let b = Bytes.create (max len (2 * Bytes.length b)) in
+    t.bufs.(i) <- b;
+    b
   end
+
+let publish t ~lsn ~len =
+  let tail = Atomic.get t.tail in
+  let i = tail land t.mask in
+  t.lsns.(i) <- lsn;
+  t.lens.(i) <- len;
+  Atomic.set t.tail (tail + 1)
 
 (* Consumer side. *)
 
-let pop t =
+let peek t =
   let head = Atomic.get t.head in
-  if Atomic.get t.tail = head then None
-  else begin
-    let c = t.cells.(head land t.mask) in
-    let lsn = c.c_lsn and buf = c.c_buf in
-    c.c_buf <- Bytes.empty;
-    Atomic.set t.head (head + 1);
-    Some (lsn, buf)
-  end
+  if Atomic.get t.tail = head then -1 else t.lsns.(head land t.mask)
 
+let head_len t = t.lens.(Atomic.get t.head land t.mask)
+let head_buf t = t.bufs.(Atomic.get t.head land t.mask)
+let drop t = Atomic.incr t.head
 let is_empty t = Atomic.get t.tail = Atomic.get t.head

@@ -6,17 +6,21 @@
 
    - Workers call [log_commit] inside the 2PLSF commit window (all
      write-locks held), which draws an LSN with one fetch-and-add,
-     seals a CRC-32 commit record holding full after-images, and
-     publishes it to the worker's SPSC ring.  Because the draw happens
-     while the locks serialize conflicting transactions, LSN order is
-     consistent with the per-row serialization order — the property
-     that makes redo-by-ascending-LSN reconstruct a serializable state.
+     seals a CRC-32 commit record holding full after-images in place in
+     a slot of the worker's SPSC ring, and publishes it.  Because the
+     draw happens while the locks serialize conflicting transactions,
+     LSN order is consistent with the per-row serialization order — the
+     property that makes redo-by-ascending-LSN reconstruct a
+     serializable state.
 
    - Leader/follower group commit (PostgreSQL's XLogFlush, Aether): a
      worker in [wait_durable] that takes the [leader] flag with one CAS
-     merges the rings into a reorder buffer (min-heap on LSN) and
-     flushes only the *contiguous* LSN prefix itself: one write and one
-     fsync per batch, covering every record published so far.  Workers
+     copies the *contiguous* LSN prefix out of the rings into one batch
+     and flushes it itself: one write and one fsync per batch, covering
+     every record published so far.  Only the rings that were ever
+     pushed to are visited, and only a record that arrives ahead of a
+     smaller LSN (which needs two workers) is stashed, copied, in a
+     reorder buffer (min-heap on LSN) until the gap closes.  Workers
      that find a leader active wait on [cond] and retry when it leaves,
      so concurrent committers batch behind one fsync.  There is no log
      thread: the flush is a plain function run on a committing worker,
@@ -167,7 +171,8 @@ let read_image_info ?(io = Wal_io.passthrough) ~dir () =
   | buf -> Some (check_image buf)
 
 (* ------------------------------------------------------------------ *)
-(* Reorder buffer: min-heap on LSN, leader-owned                      *)
+(* Reorder buffer: min-heap on LSN, leader-owned.  It holds copies of
+   records drained ahead of a smaller LSN still in another ring.      *)
 
 module Heap = struct
   type h = { mutable lsns : int array; mutable bufs : Bytes.t array; mutable len : int }
@@ -239,6 +244,9 @@ type t = {
   marks : int Atomic.t array;  (* per-row seqlock counters *)
   row_lsn : int array;  (* committed LSN per row; written in the odd window *)
   rings : Ring.t array;  (* one per worker tid *)
+  live : int Atomic.t;
+      (* rings [0, live) are the only ones ever pushed to; raised before
+         a worker's first publication, so a drain can stop there *)
   flushed : int Atomic.t;  (* highest LSN durable on disk *)
   failed : string option Atomic.t;  (* poison: permanent log-device failure *)
   mu : Mutex.t;
@@ -248,7 +256,11 @@ type t = {
      false to true touches it, until it stores false again.  The CAS and
      the releasing store order one leader's accesses before the next's. *)
   heap : Heap.h;
+  (* The next write: the records [flushed + 1 .. batch_last], contiguous,
+     in its first [batch_len] bytes. *)
   mutable batch : Bytes.t;
+  mutable batch_len : int;
+  mutable batch_last : int;
   (* The checkpoint image, reused: a table-sized buffer per checkpoint
      would be garbage the major GC reclaims late. *)
   mutable image : Bytes.t;
@@ -306,14 +318,6 @@ let retrying t f =
   in
   go 0
 
-(* Same, but poison instead of propagating: returns false on failure. *)
-let guarded t ~what f =
-  match retrying t f with
-  | () -> true
-  | exception ((Wal_io.Io_error _ | Unix.Unix_error _) as e) ->
-      poison t (Printf.sprintf "%s: %s" what (describe_exn e));
-      false
-
 (* A failed fsync is never retried: the unflushed pages may already be
    gone from the cache, so "fsync again and see it succeed" would
    acknowledge data that was lost (the fsyncgate bug).  Poison. *)
@@ -369,20 +373,48 @@ let lead t f =
   | exception e -> poison t (Printf.sprintf "log leader died: %s" (describe_exn e)));
   release t
 
-(* Move every published record into the reorder buffer.  On a poisoned
-   log they are discarded instead: they can never be acked. *)
+let append t buf ~len ~lsn =
+  let need = t.batch_len + len in
+  if need > Bytes.length t.batch then begin
+    let b = Bytes.create (max need (2 * Bytes.length t.batch)) in
+    Bytes.blit t.batch 0 b 0 t.batch_len;
+    t.batch <- b
+  end;
+  Bytes.blit buf 0 t.batch t.batch_len len;
+  t.batch_len <- need;
+  t.batch_last <- lsn
+
+(* Take every published record off the live rings: the one extending
+   the batch's contiguous prefix is copied into the batch (and may
+   unblock stashed ones), any other into the reorder buffer.  A record
+   is copied before its slot is dropped.  On a poisoned log everything
+   is discarded instead: it can never be acked. *)
 let drain_rings t =
-  for i = 0 to Array.length t.rings - 1 do
-    let continue = ref true in
-    while !continue do
-      match Ring.pop t.rings.(i) with
-      | Some (lsn, buf) -> Heap.add t.heap lsn buf
-      | None -> continue := false
+  for i = 0 to Atomic.get t.live - 1 do
+    let ring = t.rings.(i) in
+    let lsn = ref (Ring.peek ring) in
+    while !lsn >= 0 do
+      let len = Ring.head_len ring in
+      if !lsn = t.batch_last + 1 then begin
+        append t (Ring.head_buf ring) ~len ~lsn:!lsn;
+        while Heap.min_lsn t.heap = t.batch_last + 1 do
+          let b = Heap.pop_min t.heap in
+          append t b ~len:(Bytes.length b) ~lsn:(t.batch_last + 1)
+        done
+      end
+      else Heap.add t.heap !lsn (Bytes.sub (Ring.head_buf ring) 0 len);
+      Ring.drop ring;
+      lsn := Ring.peek ring
     done
   done;
-  if Atomic.get t.failed <> None then Heap.clear t.heap
+  if Atomic.get t.failed <> None then begin
+    Heap.clear t.heap;
+    t.batch_len <- 0
+  end
 
-let rings_empty t = Array.for_all Ring.is_empty t.rings
+let rings_empty t =
+  let rec go i = i < 0 || (Ring.is_empty t.rings.(i) && go (i - 1)) in
+  go (Atomic.get t.live - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Commit-window API (caller holds the row's write locks)             *)
@@ -396,14 +428,18 @@ let mark_undo t ~rid =
   if m land 1 = 1 then Atomic.set t.marks.(rid) (m + 1)
 
 (* The worker's ring is full.  Nothing drains it in the background, so
-   take the flag and move the rings into the reorder buffer — no fsync
-   is needed to free slots, and none may run here: the caller holds its
-   write locks. *)
-let push_full t ring ~lsn buf =
+   take the flag and move the rings into the batch — no fsync is needed
+   to free slots, and none may run here: the caller holds its write
+   locks. *)
+let make_room t ring =
   let bo = Util.Backoff.create () in
-  while not (Ring.try_push ring ~lsn buf) do
+  while Ring.is_full ring do
     if try_lead t then lead t drain_rings else Util.Backoff.once bo
   done
+
+let rec note_live t tid =
+  let live = Atomic.get t.live in
+  if tid >= live && not (Atomic.compare_and_set t.live live (tid + 1)) then note_live t tid
 
 let log_commit t ~tid ~n ~rid =
   (* Refuse before mutating anything: the caller still holds its locks
@@ -412,6 +448,10 @@ let log_commit t ~tid ~n ~rid =
   (match Atomic.get t.failed with
   | Some reason -> raise (Degraded reason)
   | None -> ());
+  let ring = t.rings.(tid) in
+  if tid >= Atomic.get t.live then note_live t tid;
+  (* Room first, so no LSN is drawn-but-unpublished while waiting. *)
+  if Ring.is_full ring then make_room t ring;
   let st = t.store in
   let lsn = Atomic.fetch_and_add t.next_lsn 1 in
   (* Stamp every written row's committed LSN and close its seqlock
@@ -424,16 +464,14 @@ let log_commit t ~tid ~n ~rid =
       Atomic.set t.marks.(r) (m + 1)
     end
   done;
-  let sz = Record.size ~nwrites:n ~row_len:st.row_len in
-  let buf = Bytes.create sz in
+  let len = Record.size ~nwrites:n ~row_len:st.row_len in
   ignore
-    (Record.encode buf ~pos:0 ~lsn ~table_id:st.table_id ~row_len:st.row_len ~n ~rid
-       ~row:(fun i -> st.read_row (rid i)));
+    (Record.encode (Ring.reserve ring ~len) ~pos:0 ~lsn ~table_id:st.table_id
+       ~row_len:st.row_len ~n ~rid ~row:st.read_row);
   (* LSN drawn but not yet published: a kill here leaves a gap that
      recovery never sees (nothing after it can be contiguous-flushed). *)
   if !Chaos.on then Chaos.point Chaos.Wal_append;
-  let ring = t.rings.(tid) in
-  if not (Ring.try_push ring ~lsn buf) then push_full t ring ~lsn buf;
+  Ring.publish ring ~lsn ~len;
   Atomic.incr t.m_records;
   lsn
 
@@ -444,44 +482,33 @@ let flushed_lsn t = Atomic.get t.flushed
 
 let open_segment io dir seq = io.Wal_io.io_create (seg_path dir seq)
 
-(* Copy the contiguous LSN prefix of the reorder buffer into [batch];
-   returns its length and the last LSN it holds. *)
-let take_prefix t =
-  let expected = ref (Atomic.get t.flushed + 1) in
-  let len = ref 0 in
-  while Heap.min_lsn t.heap = !expected do
-    let r = Heap.pop_min t.heap in
-    let n = Bytes.length r in
-    if !len + n > Bytes.length t.batch then begin
-      let b = Bytes.create (max (!len + n) (2 * Bytes.length t.batch)) in
-      Bytes.blit t.batch 0 b 0 !len;
-      t.batch <- b
-    end;
-    Bytes.blit r 0 t.batch !len n;
-    len := !len + n;
-    incr expected
-  done;
-  (!len, !expected - 1)
+(* Write the batch from byte [pos] on, with [retrying]'s budget and
+   backoff, inlined so a flush builds no closure.  A transient failure
+   resumes from [pos]: the injector and Unix both fail without a partial
+   transfer, so no byte is ever written twice.  Poisons and returns
+   false on a permanent failure or an exhausted budget. *)
+let rec write_batch t ~pos ~attempt =
+  pos >= t.batch_len
+  ||
+  match t.fd.Wal_io.f_write t.batch ~pos ~len:(t.batch_len - pos) with
+  | n -> write_batch t ~pos:(pos + n) ~attempt
+  | exception ((Wal_io.Io_error _ | Unix.Unix_error _) as e)
+    when transient_exn e && attempt < max_retries ->
+      Atomic.incr t.m_io_retries;
+      backoff attempt;
+      write_batch t ~pos ~attempt:(attempt + 1)
+  | exception ((Wal_io.Io_error _ | Unix.Unix_error _) as e) ->
+      poison t (Printf.sprintf "segment append: %s" (describe_exn e));
+      false
 
-(* Flush the contiguous LSN prefix of the reorder buffer: one write,
-   one fsync, one broadcast.  Returns true if anything was flushed;
-   false also covers "the log just got poisoned". *)
+(* Flush the batch (the contiguous LSN prefix drained so far): one
+   write, one fsync, one broadcast.  Returns true if anything was
+   flushed; false also covers "the log just got poisoned". *)
 let flush_batch t =
-  let len, last = take_prefix t in
+  let len = t.batch_len and last = t.batch_last in
   if len = 0 then false
   else begin
-    let b = t.batch in
-    let pos = ref 0 in
-    (* Resume from [pos] across transient-retry rounds: the injector
-       and Unix both fail without a partial transfer, so no byte is
-       ever written twice. *)
-    let wrote =
-      guarded t ~what:"segment append" (fun () ->
-          while !pos < len do
-            pos := !pos + t.fd.Wal_io.f_write b ~pos:!pos ~len:(len - !pos)
-          done)
-    in
-    if not wrote then false
+    if not (write_batch t ~pos:0 ~attempt:0) then false
     else begin
       if !Chaos.on then Chaos.point Chaos.Wal_fsync;
       let synced =
@@ -496,6 +523,7 @@ let flush_batch t =
       in
       if not synced then false
       else begin
+        t.batch_len <- 0;
         t.seg_bytes <- t.seg_bytes + len;
         t.bytes_since_ckpt <- t.bytes_since_ckpt + len;
         Atomic.incr t.m_batches;
@@ -563,23 +591,27 @@ let do_checkpoint t =
       set_u32 img 16 st.num_rows;
       set_u32 img 20 st.row_len;
       set_i64 img 24 start_lsn;
+      (* Seqlock copy: retry a row until its mark is even and unchanged
+         across the copy; a row mid-write drains the rings and waits,
+         paced by the one [bo] of this checkpoint. *)
       for rid = 0 to st.num_rows - 1 do
         let off = image_row_off st rid in
-        let rec copy bo =
+        let copied = ref false in
+        while not !copied do
           let m1 = Atomic.get t.marks.(rid) in
           if m1 land 1 = 1 then begin
-            let bo = match bo with Some b -> b | None -> Util.Backoff.create () in
             drain_rings t;
-            Util.Backoff.once bo;
-            copy (Some bo)
+            Util.Backoff.once bo
           end
           else begin
             let lsn = t.row_lsn.(rid) in
             Bytes.blit (st.read_row rid) 0 img (off + 8) st.row_len;
-            if Atomic.get t.marks.(rid) <> m1 then copy bo else set_i64 img off lsn
+            if Atomic.get t.marks.(rid) = m1 then begin
+              set_i64 img off lsn;
+              copied := true
+            end
           end
-        in
-        copy None
+        done
       done;
       set_i64 img 32 (Atomic.get t.next_lsn - 1);
       let crc = Util.Crc32.bytes ~len:(Bytes.length img - 4) img in
@@ -685,6 +717,7 @@ let create ?(next_lsn = 1) cfg store =
       marks = Array.init store.num_rows (fun _ -> Atomic.make 0);
       row_lsn = Array.make store.num_rows 0;
       rings = Array.init Util.Tid.max_threads (fun _ -> Ring.create ~capacity:ring_capacity);
+      live = Atomic.make 0;
       flushed = Atomic.make (next_lsn - 1);
       failed = Atomic.make None;
       mu = Mutex.create ();
@@ -692,6 +725,8 @@ let create ?(next_lsn = 1) cfg store =
       leader = Atomic.make false;
       heap = Heap.create ();
       batch = Bytes.create 65536;
+      batch_len = 0;
+      batch_last = next_lsn - 1;
       image = Bytes.empty;
       fd = open_segment io cfg.dir seg_seq;
       seg_seq;
@@ -729,7 +764,10 @@ let shutdown t =
     (fun () ->
       let bo = Util.Backoff.create () in
       drain_rings t;
-      while Atomic.get t.failed = None && not (Heap.is_empty t.heap && rings_empty t) do
+      while
+        Atomic.get t.failed = None
+        && not (t.batch_len = 0 && Heap.is_empty t.heap && rings_empty t)
+      do
         if not (flush_batch t) then Util.Backoff.once bo;
         drain_rings t
       done;

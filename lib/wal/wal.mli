@@ -103,12 +103,14 @@ val mark_undo : t -> rid:int -> unit
 val log_commit : t -> tid:int -> n:int -> rid:(int -> int) -> int
 (** Draw the commit LSN, stamp every written row ([rid 0..n-1]) with
     it, seal the redo record (full after-images read through the
-    store), and publish it to worker [tid]'s ring.  Returns the LSN.
-    Must run while all the transaction's write locks are held: the
-    fetch-and-add under the locks is what aligns LSN order with the
-    serialization order.  Never does I/O: if the ring is full, the
-    caller moves the rings into the flush queue itself (waiting for a
-    flush in progress to let go of them first).
+    store) in place in a slot of worker [tid]'s ring, and publish it.
+    Returns the LSN.  Allocates nothing once the slot's buffer has
+    grown to the record's size.  Must run while all the transaction's
+    write locks are held: the fetch-and-add under the locks is what
+    aligns LSN order with the serialization order.  Never does I/O: if
+    the ring is full, the caller first moves the rings into the flush
+    batch itself (waiting for a flush in progress to let go of them),
+    before it draws the LSN.
     @raise Degraded on a poisoned log, before any mutation. *)
 
 val wait_durable : t -> lsn:int -> unit

@@ -265,6 +265,41 @@ let test_deadline_cleanliness_all_stms () =
       check Alcotest.bool "deadline path exercised" true
         (!total_deadlines > 0))
 
+(* ---- an uncontended acquisition builds no wait state ---- *)
+
+(* Minor words one 8-read read-only transaction costs, averaged over
+   many on one domain with nothing else running. *)
+let read_only_words (module S : Stm_intf.STM) =
+  let tvs = Array.init 8 (fun i -> S.tvar i) in
+  let body tx =
+    let s = ref 0 in
+    for i = 0 to 7 do
+      s := !s + S.read tx tvs.(i)
+    done;
+    !s
+  in
+  let run () = ignore (S.atomic ~read_only:true body) in
+  for _ = 1 to 1000 do
+    run ()
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    run ()
+  done;
+  (Gc.minor_words () -. before) /. float n
+
+(* 2PL-WoundWait tries each lock once before it builds the backoff
+   state and loop closures of its wait, so an uncontended read costs no
+   more than under 2PL-WaitDie, whose wait is allocation-free. *)
+let test_wound_wait_uncontended_allocation () =
+  with_clean_globals (fun () ->
+      let ww = read_only_words (Baselines.Registry.find "2PL-WoundWait") in
+      let wd = read_only_words (Baselines.Registry.find "2PL-WaitDie") in
+      if ww > wd then
+        Alcotest.failf "2PL-WoundWait %.1f minor words per transaction, 2PL-WaitDie %.1f"
+          ww wd)
+
 let () =
   ignore (Util.Tid.register ());
   Alcotest.run "cm"
@@ -281,5 +316,7 @@ let () =
             test_escalation_conserves;
           Alcotest.test_case "deadline cleanliness, every STM" `Quick
             test_deadline_cleanliness_all_stms;
+          Alcotest.test_case "uncontended 2PL-WoundWait read allocates nothing extra"
+            `Quick test_wound_wait_uncontended_allocation;
         ] );
     ]

@@ -248,6 +248,10 @@ let test_wait_for_conflictor_blocks_until_commit () =
   let t = fresh () in
   let other = L.make_ctx ~tid:1 in
   L.announce_priority t other 17;
+  (* The 50 ms run from when the waiter has started, not from the
+     spawn: a domain can take longer than that to start on a loaded
+     host. *)
+  let started = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
         ignore (Util.Tid.register ());
@@ -255,10 +259,14 @@ let test_wait_for_conflictor_blocks_until_commit () =
         c.o_tid <- 1;
         c.o_ts <- 17;
         let t0 = Util.Clock.now () in
+        Atomic.set started true;
         L.wait_for_conflictor t c;
         Util.Tid.release ();
         Util.Clock.now () -. t0)
   in
+  while not (Atomic.get started) do
+    Unix.sleepf 0.001
+  done;
   Unix.sleepf 0.05;
   L.clear_announcement t other;
   let waited = Domain.join d in
@@ -267,17 +275,24 @@ let test_wait_for_conflictor_blocks_until_commit () =
 let test_writer_waits_for_reader_release () =
   let t = fresh () in
   let reader_done = Atomic.make false in
+  let reading = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
         ignore (Util.Tid.register ());
         let c = L.make_ctx ~tid:(Util.Tid.get ()) in
         ignore (L.try_or_wait_read_lock t c 5);
+        Atomic.set reading true;
         Unix.sleepf 0.05;
         L.read_unlock t c 5;
         Atomic.set reader_done true;
         Util.Tid.release ())
   in
-  Unix.sleepf 0.01;
+  (* The writer starts once the reader holds the lock, not after a fixed
+     sleep: a domain can take longer than that to start on a loaded
+     host. *)
+  while not (Atomic.get reading) do
+    Unix.sleepf 0.001
+  done;
   let writer =
     Domain.spawn (fun () ->
         ignore (Util.Tid.register ());

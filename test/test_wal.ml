@@ -58,17 +58,27 @@ let test_crc32 () =
     Crc32.update c data ~pos:17 ~len:(Bytes.length data - 17)
   in
   check Alcotest.int "incremental = one-shot" whole split;
-  (* the 8-byte steps against the reference, for every alignment of
-     start and length *)
+  (* every length 0..4096 at every start offset 0..15 against the
+     reference: short inputs take the table kernel, longer ones the
+     64-byte fold (where the CPU has one) plus a table tail of every
+     size.  The reference runs once per offset, keeping its state after
+     each byte. *)
   let rng = Util.Sprng.create 0xC3C3 in
-  let buf = Bytes.init 200 (fun _ -> Char.chr (Util.Sprng.int rng 256)) in
+  let maxlen = 4096 in
+  let buf = Bytes.init (maxlen + 16) (fun _ -> Char.chr (Util.Sprng.int rng 256)) in
   for pos = 0 to 15 do
-    for len = 0 to 40 do
-      let len = if len > 24 then len + 100 else len in
-      check Alcotest.int
-        (Printf.sprintf "pos %d len %d" pos len)
-        (crc32_ref buf ~pos ~len)
-        (Crc32.update 0 buf ~pos ~len)
+    let c = ref 0xFFFFFFFF in
+    for len = 0 to maxlen do
+      let want = !c lxor 0xFFFFFFFF in
+      let got = Crc32.update 0 buf ~pos ~len in
+      if got <> want then
+        Alcotest.failf "pos %d len %d: 0x%08X, reference 0x%08X" pos len got want;
+      if len < maxlen then begin
+        c := !c lxor Char.code (Bytes.get buf (pos + len));
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done
+      end
     done
   done;
   (* a split at every offset still chains *)
@@ -79,6 +89,23 @@ let test_crc32 () =
       (crc32_ref buf ~pos:0 ~len:96)
       (Crc32.update c buf ~pos:k ~len:(96 - k))
   done;
+  (* ... and near the block edges, on both sides of the fold's 64-byte
+     minimum, in longer inputs *)
+  List.iter
+    (fun k ->
+      List.iter
+        (fun n ->
+          check Alcotest.int
+            (Printf.sprintf "split %d of %d" k n)
+            (crc32_ref buf ~pos:0 ~len:n)
+            (Crc32.update (Crc32.update 0 buf ~pos:0 ~len:k) buf ~pos:k ~len:(n - k)))
+        [ 300; 4096 ])
+    [ 0; 1; 7; 8; 15; 16; 63; 64; 65; 127; 128; 129; 255; 256 ];
+  (* a large buffer: many fold iterations, odd tail *)
+  let big = Bytes.init ((1 lsl 20) + 7) (fun _ -> Char.chr (Util.Sprng.int rng 256)) in
+  check Alcotest.int "1 MiB + 7"
+    (crc32_ref big ~pos:0 ~len:(Bytes.length big))
+    (Crc32.bytes big);
   (* ranges outside the buffer are refused, never read *)
   List.iter
     (fun (pos, len) ->
@@ -92,13 +119,12 @@ let test_crc32 () =
 
 (* ---- record codec ---- *)
 
-let encode_one ~lsn ~rids ~rows ~row_len =
+(* [row r] is the image of row id [r]. *)
+let encode_one ~lsn ~rids ~row ~row_len =
   let n = Array.length rids in
   let buf = Bytes.create (Record.size ~nwrites:n ~row_len) in
   let wrote =
-    Record.encode buf ~pos:0 ~lsn ~table_id:3 ~row_len ~n
-      ~rid:(fun i -> rids.(i))
-      ~row:(fun i -> rows.(i))
+    Record.encode buf ~pos:0 ~lsn ~table_id:3 ~row_len ~n ~rid:(fun i -> rids.(i)) ~row
   in
   check Alcotest.int "encode size" (Bytes.length buf) wrote;
   buf
@@ -106,8 +132,8 @@ let encode_one ~lsn ~rids ~rows ~row_len =
 let test_record_roundtrip () =
   let row_len = 16 in
   let rids = [| 7; 42; 7 |] in
-  let rows = Array.init 3 (fun i -> Bytes.make row_len (Char.chr (65 + i))) in
-  let buf = encode_one ~lsn:99 ~rids ~rows ~row_len in
+  let row r = Bytes.make row_len (Char.chr (65 + (r mod 26))) in
+  let buf = encode_one ~lsn:99 ~rids ~row ~row_len in
   match Record.decode buf ~pos:0 ~avail:(Bytes.length buf) with
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok (r, size) ->
@@ -119,15 +145,13 @@ let test_record_roundtrip () =
       Array.iteri
         (fun i (rid, img) ->
           check Alcotest.int "rid" rids.(i) rid;
-          check Alcotest.bool "image" true (Bytes.equal img rows.(i)))
+          check Alcotest.bool "image" true (Bytes.equal img (row rids.(i))))
         r.Record.r_writes
 
 let test_record_rejects_damage () =
   let row_len = 8 in
   let buf =
-    encode_one ~lsn:5 ~rids:[| 1 |]
-      ~rows:[| Bytes.make row_len 'x' |]
-      ~row_len
+    encode_one ~lsn:5 ~rids:[| 1 |] ~row:(fun _ -> Bytes.make row_len 'x') ~row_len
   in
   (* truncated: every prefix shorter than the record must fail cleanly *)
   for avail = 0 to Bytes.length buf - 1 do
@@ -145,7 +169,7 @@ let test_record_rejects_damage () =
   done;
   (* find_valid sees through garbage to a later valid record *)
   let tail =
-    encode_one ~lsn:6 ~rids:[| 2 |] ~rows:[| Bytes.make row_len 'y' |] ~row_len
+    encode_one ~lsn:6 ~rids:[| 2 |] ~row:(fun _ -> Bytes.make row_len 'y') ~row_len
   in
   let glued = Bytes.concat Bytes.empty [ Bytes.make 13 '\xff'; tail ] in
   (match
@@ -167,19 +191,32 @@ let test_ring () =
   let r = Ring.create ~capacity:5 in
   check Alcotest.int "capacity rounded to 2^k" 8 (Ring.capacity r);
   check Alcotest.bool "fresh ring empty" true (Ring.is_empty r);
+  check Alcotest.int "empty peek" (-1) (Ring.peek r);
   for i = 1 to 8 do
-    if not (Ring.try_push r ~lsn:i (Bytes.make 4 (Char.chr i))) then
-      Alcotest.failf "push %d refused below capacity" i
+    if Ring.is_full r then Alcotest.failf "full below capacity at %d" i;
+    Bytes.fill (Ring.reserve r ~len:i) 0 i (Char.chr i);
+    Ring.publish r ~lsn:i ~len:i
   done;
-  check Alcotest.bool "full ring refuses" false (Ring.try_push r ~lsn:9 Bytes.empty);
+  check Alcotest.bool "full ring" true (Ring.is_full r);
+  let last = ref Bytes.empty in
   for i = 1 to 8 do
-    match Ring.pop r with
-    | Some (lsn, b) ->
-        check Alcotest.int "fifo lsn" i lsn;
-        check Alcotest.int "payload" i (Char.code (Bytes.get b 0))
-    | None -> Alcotest.fail "pop on non-empty"
+    check Alcotest.int "fifo lsn" i (Ring.peek r);
+    check Alcotest.int "length" i (Ring.head_len r);
+    check Alcotest.string "payload" (String.make i (Char.chr i))
+      (Bytes.sub_string (Ring.head_buf r) 0 i);
+    last := Ring.head_buf r;
+    Ring.drop r
   done;
-  check Alcotest.bool "drained" true (Ring.is_empty r)
+  check Alcotest.bool "drained" true (Ring.is_empty r);
+  (* on an empty ring the last record's buffer is reused, again and again *)
+  let b = Ring.reserve r ~len:1 in
+  check Alcotest.bool "last buffer reused" true (b == !last);
+  Ring.publish r ~lsn:9 ~len:1;
+  check Alcotest.bool "published from it" true (b == Ring.head_buf r);
+  Ring.drop r;
+  check Alcotest.bool "reused after the next record" true (b == Ring.reserve r ~len:1);
+  check Alcotest.bool "larger record grows it" true
+    (Bytes.length (Ring.reserve r ~len:100) >= 100)
 
 (* ---- WAL end to end through the DBx engine ---- *)
 
@@ -420,6 +457,54 @@ let test_full_ring_drains () =
   check Alcotest.int "every record replayed" n r.Wal.r_records;
   check Alcotest.int "lsn watermark" n r.Wal.r_max_lsn
 
+(* The flush visits only the rings below the highest tid ever logged
+   through; a log written only through tid 7 must still reach disk. *)
+let test_high_tid_durable () =
+  with_dir @@ fun dir ->
+  let tbl = Durable.make_table ~rows in
+  let w = Wal.create (quick_cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
+  let last = ref 0 in
+  for i = 1 to 5 do
+    Wal.mark_dirty w ~rid:i;
+    last := Wal.log_commit w ~tid:7 ~n:1 ~rid:(fun _ -> i);
+    Wal.wait_durable w ~lsn:!last
+  done;
+  check Alcotest.int "acked through tid 7" 5 (Wal.flushed_lsn w);
+  Wal.stop w;
+  let _, r = recover_into_fresh ~dir in
+  check Alcotest.int "every record replayed" 5 r.Wal.r_records
+
+(* The commit record is encoded in place in the ring and copied into
+   the flush batch: a steady single-worker stream of commits allocates
+   no record.  The bound leaves room for a few stray words, far below
+   the ~110 words one 4-write record would take. *)
+let test_commit_allocation_free () =
+  with_dir @@ fun dir ->
+  let tbl = Durable.make_table ~rows in
+  let w = Wal.create (quick_cfg dir) (Dbx.Cc_2plsf.wal_store tbl) in
+  let tid = Util.Tid.get () in
+  let rid i = i * 5 in
+  let round () =
+    for i = 0 to 3 do
+      Wal.mark_dirty w ~rid:(rid i)
+    done;
+    let lsn = Wal.log_commit w ~tid ~n:4 ~rid in
+    Wal.wait_durable w ~lsn
+  in
+  (* warm up: every ring slot gets its buffer *)
+  for _ = 1 to 2 * Wal.ring_capacity do
+    round ()
+  done;
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per_commit = (Gc.minor_words () -. before) /. float rounds in
+  Wal.stop w;
+  if per_commit > 4. then
+    Alcotest.failf "%.1f minor words per durable commit (bound 4)" per_commit
+
 (* ---- the recovery oracle rejects what it must ---- *)
 
 let violation =
@@ -539,6 +624,10 @@ let () =
             test_concurrent_commits_recover;
           Alcotest.test_case "full ring drained by its committer" `Quick
             test_full_ring_drains;
+          Alcotest.test_case "a log written through tid 7 is durable" `Quick
+            test_high_tid_durable;
+          Alcotest.test_case "durable commit allocates no record" `Quick
+            test_commit_allocation_free;
         ] );
       ( "oracle",
         [
