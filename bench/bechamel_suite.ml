@@ -55,6 +55,13 @@ let temp_wal () =
       Unix.rmdir dir);
   w
 
+(* [Ycsb.next] reuses one record, so the execute rungs cycle copies. *)
+let draw_txns ~num_keys ~theta n =
+  let gen = Dbx.Ycsb.make_gen ~num_keys ~theta ~write_ratio:0.5 () in
+  Array.init n (fun _ ->
+      let t = Dbx.Ycsb.next gen in
+      { Dbx.Ycsb.keys = Array.copy t.keys; ops = Array.copy t.ops })
+
 let next_key range =
   counter := (!counter + 7919) land max_int;
   !counter mod range
@@ -84,13 +91,14 @@ let tests () =
   let cc = Dbx.Cc_2plsf.create table in
   let tid = Util.Tid.get () in
   let gen = Dbx.Ycsb.make_gen ~num_keys:10_000 ~theta:0.6 ~write_ratio:0.5 () in
-  (* [Ycsb.next] reuses one record, so the execute rung cycles copies. *)
-  let txns =
-    Array.init 64 (fun _ ->
-        let t = Dbx.Ycsb.next gen in
-        { Dbx.Ycsb.keys = Array.copy t.keys; ops = Array.copy t.ops })
-  in
+  let txns = draw_txns ~num_keys:10_000 ~theta:0.6 64 in
   let txn_i = ref 0 in
+  (* The cold-row rung: 64 transactions over 10k rows all stay cached,
+     4096 over 100k rows at θ=0.9 leave the tail rows to miss. *)
+  let cold_table = Dbx.Table.create ~num_rows:100_000 in
+  let cold_cc = Dbx.Cc_2plsf.create cold_table in
+  let cold_txns = draw_txns ~num_keys:100_000 ~theta:0.9 4096 in
+  let cold_i = ref 0 in
   let counters = Array.init 20 (fun _ -> Twoplsf.Stm.tvar 0) in
   (* One table per rung: releasing the fresh lock's word must not
      release the held one. *)
@@ -157,6 +165,10 @@ let tests () =
       (Staged.stage (fun () ->
            txn_i := (!txn_i + 1) land 63;
            ignore (Dbx.Cc_2plsf.execute cc ~tid txns.(!txn_i))));
+    Test.make ~name:"dbx/execute 16 accesses, 100k rows θ=0.9"
+      (Staged.stage (fun () ->
+           cold_i := (!cold_i + 1) land 4095;
+           ignore (Dbx.Cc_2plsf.execute cold_cc ~tid cold_txns.(!cold_i))));
     Test.make ~name:"util/crc32 852 B"
       (Staged.stage (fun () -> ignore (Util.Crc32.bytes crc_record)));
     Test.make ~name:"util/crc32 1 MiB"

@@ -41,6 +41,7 @@ struct
 
   type worker = {
     tid : int;
+    mutable rids : int array; (* the resolve pass's row ids, by access *)
     rlocks : int Util.Vec.t; (* rids share-locked *)
     wlocks : int Util.Vec.t; (* rids exclusive-locked *)
     undo : Undo.t;
@@ -78,6 +79,7 @@ struct
         Per_worker.create (fun tid ->
             {
               tid;
+              rids = Array.make Ycsb.accesses_per_txn 0;
               rlocks = Util.Vec.create ~dummy:(-1) ();
               wlocks = Util.Vec.create ~dummy:(-1) ();
               undo = Undo.create ();
@@ -164,23 +166,30 @@ struct
           record_wait_edges t rl ~self;
           if would_deadlock t self then Die else Wait
 
-  let rec acquire_row t p rl ~exclusive b =
+  (* One decision under the row's guard; a settled one also drops
+     DL_DETECT's out-edges. *)
+  let try_row t p rl ~exclusive =
     Rwlock.Spinlock.lock rl.guard;
     let d = decide t p rl ~exclusive in
     Rwlock.Spinlock.unlock rl.guard;
-    match d with
-    | Granted ->
-        if V.variant = Dl_detect then clear_out_edges t p.tid;
-        true
-    | Die ->
-        if V.variant = Dl_detect then clear_out_edges t p.tid;
-        false
-    | Wait ->
-        Util.Backoff.once b;
-        acquire_row t p rl ~exclusive b
+    if V.variant = Dl_detect && d <> Wait then clear_out_edges t p.tid;
+    d
 
+  let rec wait_row t p rl ~exclusive b =
+    Util.Backoff.once b;
+    match try_row t p rl ~exclusive with
+    | Granted -> true
+    | Die -> false
+    | Wait -> wait_row t p rl ~exclusive b
+
+  (* The backoff state is built by the first wait, so an uncontended
+     acquire allocates nothing. *)
   let acquire t p rid ~exclusive =
-    acquire_row t p t.locks.(rid) ~exclusive (Util.Backoff.create ())
+    let rl = t.locks.(rid) in
+    match try_row t p rl ~exclusive with
+    | Granted -> true
+    | Die -> false
+    | Wait -> wait_row t p rl ~exclusive (Util.Backoff.create ())
 
   let release_all t p =
     let self = p.tid in
@@ -207,6 +216,18 @@ struct
   let holds_write t p rid = t.locks.(rid).writer = p.tid + 1
   let holds_read t p rid = has_reader t.locks.(rid) p.tid
 
+  (* The resolve pass, as [Cc_2plsf.resolve]: the index probes and row
+     loads once per transaction, plus each row's owner record, before any
+     lock is taken.  The record's guard is not loaded: [Rwlock.Spinlock]
+     is abstract and its only probe, [try_lock], stores. *)
+  let resolve t p (txn : Ycsb.txn) =
+    let n = Array.length txn.keys in
+    if Array.length p.rids < n then p.rids <- Array.make n 0;
+    Table.resolve t.table txn.keys p.rids;
+    for i = 0 to n - 1 do
+      ignore (Sys.opaque_identity t.locks.(p.rids.(i)).writer)
+    done
+
   let attempt t p (txn : Ycsb.txn) =
     Util.Vec.clear p.rlocks;
     Util.Vec.clear p.wlocks;
@@ -215,7 +236,7 @@ struct
     let ok = ref true in
     let i = ref 0 in
     while !ok && !i < n do
-      let rid = Table.lookup t.table txn.keys.(!i) in
+      let rid = p.rids.(!i) in
       (match txn.ops.(!i) with
       | Ycsb.Read ->
           if
@@ -249,6 +270,7 @@ struct
 
   let execute t ~tid txn =
     let p = Per_worker.get t.workers tid in
+    resolve t p txn;
     (* WAIT_DIE: one timestamp per transaction, kept across restarts. *)
     if V.variant = Wait_die then
       Atomic.set t.txn_ts.(tid) (Atomic.fetch_and_add t.ts_clock 1);

@@ -17,11 +17,4 @@ val variant_name : variant -> string
 
 module Make (V : sig
   val variant : variant
-end) : sig
-  include Cc_intf.CC
-
-  val leaked_locks : t -> int
-  (** Post-run lock sweep: rows still write- or read-locked.  Zero once
-      every transaction has committed or aborted; only meaningful in
-      quiescence. *)
-end
+end) : Cc_intf.CC

@@ -11,6 +11,7 @@ let obs = Obs.Scope.create "DBx-2PLSF"
 
 type worker = {
   ctx : Rwl_sf.ctx; (* also holds the read set *)
+  mutable rids : int array; (* the resolve pass's row ids, by access *)
   wlocks : int Util.Vec.t;
   undo : Undo.t;
   mutable abort_reason : Obs.Events.abort_reason;
@@ -41,6 +42,7 @@ let create table =
       Per_worker.create (fun tid ->
           {
             ctx = Rwl_sf.make_ctx ~tid;
+            rids = Array.make Ycsb.accesses_per_txn 0;
             wlocks = Util.Vec.create ~dummy:(-1) ();
             undo = Undo.create ();
             abort_reason = Obs.Events.User_restart;
@@ -137,6 +139,24 @@ let commit_locked t p =
       release t p;
       Rwl_sf.clear_announcement t.locks p.ctx
 
+(* The resolve pass (DESIGN.md §3, item 9): before the first attempt, probe
+   the index once per key and load each row's tuple lines, its write
+   word and this worker's read-indicator word, so those cache misses
+   overlap one another outside the lock-hold window instead of landing
+   one by one behind each acquire.  Every retry reuses [p.rids].  It
+   takes no lock, stores nothing shared, visits no chaos point and
+   allocates nothing; an unknown key raises [Not_found] here, before any
+   lock is held. *)
+let resolve t p (txn : Ycsb.txn) =
+  let n = Array.length txn.keys in
+  if Array.length p.rids < n then p.rids <- Array.make n 0;
+  Table.resolve t.table txn.keys p.rids;
+  for i = 0 to n - 1 do
+    let w = Rwl_sf.lock_index t.locks p.rids.(i) in
+    ignore (Sys.opaque_identity (Rwl_sf.holds_write t.locks p.ctx w));
+    ignore (Sys.opaque_identity (Rwl_sf.holds_read t.locks p.ctx w))
+  done
+
 let attempt t p (txn : Ycsb.txn) =
   Util.Vec.clear p.wlocks;
   Undo.clear p.undo;
@@ -144,7 +164,7 @@ let attempt t p (txn : Ycsb.txn) =
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < n do
-    let rid = Table.lookup t.table txn.keys.(!i) in
+    let rid = p.rids.(!i) in
     let w = Rwl_sf.lock_index t.locks rid in
     (match txn.ops.(!i) with
     | Ycsb.Read ->
@@ -188,6 +208,8 @@ let execute t ~tid txn =
   let p = Per_worker.get t.workers tid in
   let aborts = ref 0 in
   let telemetry = !Obs.Telemetry.on in
+  let txn_t0 = if telemetry then Obs.Telemetry.now_ns () else 0 in
+  resolve t p txn;
   if not telemetry then begin
     while not (attempt t p txn) do
       incr aborts;
@@ -196,7 +218,6 @@ let execute t ~tid txn =
     !aborts
   end
   else begin
-    let txn_t0 = Obs.Telemetry.now_ns () in
     let att_t0 = ref txn_t0 in
     while
       not

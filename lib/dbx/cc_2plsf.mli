@@ -4,11 +4,7 @@
     tuple images. *)
 
 include Cc_intf.CC
-
-val leaked_locks : t -> int
-(** Post-run lock sweep ({!Twoplsf.Rwl_sf.leaked}): locks still held.
-    Zero once every transaction has committed or aborted; only meaningful
-    in quiescence. *)
+(** [leaked_locks] is {!Twoplsf.Rwl_sf.leaked}. *)
 
 (** {2 Durability (DESIGN.md §15)} *)
 

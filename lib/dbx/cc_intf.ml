@@ -20,7 +20,12 @@ module type CC = sig
 
   val execute : t -> tid:int -> Ycsb.txn -> int
   (** Run the transaction to commit; returns the number of aborted attempts
-      it took (0 = first try). *)
+      it took (0 = first try).
+      @raise Not_found for a key outside the table, before any lock is
+      taken. *)
+
+  val leaked_locks : t -> int
+  (** Rows still locked; zero in quiescence. *)
 end
 
 (* The per-access "work" every CC performs on a tuple, shared so all

@@ -22,7 +22,15 @@ module type CC = sig
 
   val execute : t -> tid:int -> Ycsb.txn -> int
   (** Run the transaction to commit; returns the number of aborted
-      attempts it took (0 = first try). *)
+      attempts it took (0 = first try).
+      @raise Not_found for a key outside the table, from the resolve pass
+      that runs before the first attempt: no lock is taken and no row
+      is written. *)
+
+  val leaked_locks : t -> int
+  (** Post-run lock sweep: rows still locked.  Zero once every
+      transaction has committed, aborted or raised; only meaningful in
+      quiescence. *)
 end
 
 (** {2 Shared per-access tuple work}

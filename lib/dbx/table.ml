@@ -45,6 +45,22 @@ let lookup t key = probe t key (hash_key key land t.bucket_mask)
 
 let payload t rid = t.payloads.(rid)
 
+(* Row ids of [keys] into [rids], with one load from each cache line a
+   tuple can span: 100 bytes after an 8-byte-aligned header cover two
+   64-byte lines or, at half the offsets the major heap gives them,
+   three.  [Sys.opaque_identity] keeps the compiler from dropping loads
+   whose values nobody uses.  One call per transaction: under dune's
+   default profile every call across modules is indirect. *)
+let resolve t (keys : int array) rids =
+  for i = 0 to Array.length keys - 1 do
+    let rid = lookup t keys.(i) in
+    rids.(i) <- rid;
+    let p = t.payloads.(rid) in
+    ignore (Sys.opaque_identity (Bytes.get p 0));
+    ignore (Sys.opaque_identity (Bytes.get p 64));
+    ignore (Sys.opaque_identity (Bytes.get p (tuple_size - 1)))
+  done
+
 (* The conserved-transfer workload (crash soak, DESIGN.md §15) treats
    bytes 0..7 of each tuple as a signed 64-bit little-endian balance. *)
 let balance t rid = Int64.to_int (Bytes.get_int64_le t.payloads.(rid) 0)

@@ -19,6 +19,15 @@ val lookup : t -> int -> int
 (** Row id for a key (the sequential hash-index probe).
     @raise Not_found for keys outside the prefilled range. *)
 
+val resolve : t -> int array -> int array -> unit
+(** [resolve t keys rids] stores [lookup t keys.(i)] into [rids.(i)] for
+    every [i], with one plain load from each cache line of each row's
+    tuple, the values discarded: the row half of a concurrency control's
+    resolve pass, which warms a transaction's rows before it takes any
+    lock.  Takes no lock, writes nothing but [rids] and allocates
+    nothing.  [rids] must be at least as long as [keys].
+    @raise Not_found as {!lookup}, with [rids] partly written. *)
+
 val payload : t -> int -> Bytes.t
 (** The mutable 100-byte tuple of a row id.  Concurrency control is the
     caller's job. *)

@@ -377,6 +377,71 @@ let test_undo_2pl_conflict_rollback () =
   check_rows_against before table ~bumps;
   check Alcotest.int "no leaked locks" 0 (C.leaked_locks cc)
 
+(* ---- resolve pass ---- *)
+
+(* An unknown key is met by the resolve pass, before the first lock:
+   [Not_found] escapes with no lock held and no row written, and another
+   domain's transaction on the first key then commits. *)
+let cc_unknown_key (name, cc) =
+  let test () =
+    let (module C : Dbx.Cc_intf.CC) = cc in
+    let table = Dbx.Table.create ~num_rows:100 in
+    let state = C.create table in
+    let tid = Util.Tid.get () in
+    let before = snapshot table in
+    let bad =
+      {
+        Dbx.Ycsb.keys = [| 1; 2; 1000 |];
+        ops = [| Dbx.Ycsb.Write; Dbx.Ycsb.Read; Dbx.Ycsb.Read |];
+      }
+    in
+    (match C.execute state ~tid bad with
+    | _ -> Alcotest.fail "a transaction on an unknown key committed"
+    | exception Not_found -> ());
+    check Alcotest.int "no leaked locks" 0 (C.leaked_locks state);
+    check_rows_against before table ~bumps:(fun _ -> 0);
+    let later = { Dbx.Ycsb.keys = [| 1 |]; ops = [| Dbx.Ycsb.Write |] } in
+    (match
+       Harness.Exec.run_each ~threads:1 (fun _ ->
+           C.execute state ~tid:(Util.Tid.get ()) later)
+     with
+    | [ aborts ] -> check Alcotest.int "row 1 commits first try" 0 aborts
+    | _ -> Alcotest.fail "expected one worker");
+    check_rows_against before table ~bumps:(fun rid -> if rid = 1 then 1 else 0)
+  in
+  Alcotest.test_case (name ^ " unknown key takes no lock") `Quick test
+
+(* Once a worker's context and logs have grown, one domain executing
+   pre-drawn 16-access θ=0.6 transactions over 10k rows allocates no
+   minor-heap words: no conflict, so no wait builds its backoff. *)
+let cc_allocation_free (name, cc) =
+  let test () =
+    let (module C : Dbx.Cc_intf.CC) = cc in
+    let table = Dbx.Table.create ~num_rows:10_000 in
+    let state = C.create table in
+    let tid = Util.Tid.get () in
+    let g = Dbx.Ycsb.make_gen ~num_keys:10_000 ~theta:0.6 ~write_ratio:0.5 () in
+    let txns =
+      Array.init 64 (fun _ ->
+          let t = Dbx.Ycsb.next g in
+          { Dbx.Ycsb.keys = Array.copy t.keys; ops = Array.copy t.ops })
+    in
+    Array.iter (fun txn -> ignore (C.execute state ~tid txn)) txns;
+    let rounds = 16 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      for i = 0 to Array.length txns - 1 do
+        ignore (C.execute state ~tid txns.(i))
+      done
+    done;
+    let per_txn =
+      (Gc.minor_words () -. w0) /. float_of_int (rounds * Array.length txns)
+    in
+    if per_txn >= 1. then
+      Alcotest.failf "%.1f minor words per transaction" per_txn
+  in
+  Alcotest.test_case (name ^ " no allocation per transaction") `Quick test
+
 let () =
   ignore (Util.Tid.register ());
   Alcotest.run "dbx"
@@ -409,6 +474,8 @@ let () =
       ("cc concurrent", List.map cc_concurrent Dbx.Runner.ccs);
       ("cc high contention", List.map cc_high_contention Dbx.Runner.ccs);
       ("cc worker contexts", List.map cc_worker_contexts Dbx.Runner.ccs);
+      ("cc unknown key", List.map cc_unknown_key Dbx.Runner.ccs);
+      ("cc allocation", List.map cc_allocation_free Dbx.Runner.ccs);
       ( "cc 2plsf",
         [
           Alcotest.test_case "lock sweep after contended YCSB" `Quick
