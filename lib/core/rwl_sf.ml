@@ -124,12 +124,12 @@ let make_ctx ~tid =
 let deadline_blown ctx =
   ctx.deadline_ns <> 0 && Obs.Telemetry.now_ns () > ctx.deadline_ns
 let num_locks t = t.nlocks
-let lock_index t id = id land t.mask
+let[@inline] lock_index t id = id land t.mask
 let announced t tid = Atomic.get t.announce.(tid)
 
 let effective_ts raw = if raw = 0 then infinity_ts else raw
 
-let take_timestamp t ctx =
+let[@inline never] take_timestamp t ctx =
   if ctx.my_ts = 0 then begin
     ctx.my_ts <- Atomic.fetch_and_add t.conflict_clock 1;
     Atomic.incr t.clock_count.(ctx.tid);
@@ -151,7 +151,7 @@ let announce_priority t ctx ts =
    so a non-zero slot implies [my_ts <> 0]: a transaction that never
    announced skips the store into the slot, whose cache line it shares
    with other threads' slots. *)
-let clear_announcement t ctx =
+let[@inline] clear_announcement t ctx =
   let announced = ctx.my_ts <> 0 in
   ctx.my_ts <- 0;
   ctx.o_tid <- -1;
@@ -177,18 +177,25 @@ let ts_of_wlock t ctx w =
   end
 
 (* Lowest effective timestamp among the write-lock holder and all readers
-   (Algorithm 3, getLowestTS), recording the owning thread in ctx. *)
+   (Algorithm 3, getLowestTS), recording the owning thread in ctx.  A
+   top-level scan rather than an [iter_readers] closure, so a write wait
+   allocates nothing per spin. *)
+let rec lowest_from t ctx w ~hwm tid lowest =
+  if tid >= hwm then lowest
+  else if tid <> ctx.tid && Read_indicator.holds t.ri ~tid w then begin
+    let ts = effective_ts (Atomic.get t.announce.(tid)) in
+    if ts < lowest then begin
+      ctx.o_tid <- tid;
+      ctx.o_ts <- ts;
+      ctx.o_lock <- w;
+      lowest_from t ctx w ~hwm (tid + 1) ts
+    end
+    else lowest_from t ctx w ~hwm (tid + 1) lowest
+  end
+  else lowest_from t ctx w ~hwm (tid + 1) lowest
+
 let lowest_ts t ctx w =
-  let lowest = ref (ts_of_wlock t ctx w) in
-  Read_indicator.iter_readers t.ri ~self:ctx.tid w (fun itid ->
-      let ts = effective_ts (Atomic.get t.announce.(itid)) in
-      if ts < !lowest then begin
-        lowest := ts;
-        ctx.o_tid <- itid;
-        ctx.o_ts <- ts;
-        ctx.o_lock <- w
-      end);
-  !lowest
+  lowest_from t ctx w ~hwm:(Util.Tid.high_water ()) 0 (ts_of_wlock t ctx w)
 
 let my_effective_ts ctx = effective_ts ctx.my_ts
 
@@ -197,19 +204,71 @@ let my_effective_ts ctx = effective_ts ctx.my_ts
    thread recorded during an earlier, successful wait whose timestamp is
    higher than ours.  Waiting on it from the restart path would invert
    the priority order that makes waits-for cycles impossible. *)
-let spurious_fail ctx =
+let[@inline never] spurious_fail ctx =
   ctx.o_tid <- -1;
   ctx.o_ts <- 0;
   ctx.o_lock <- -1;
   ctx.preempted <- false;
   false
 
-let holds_read t ctx w = Read_indicator.holds t.ri ~tid:ctx.tid w
-let holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
+let[@inline] holds_read t ctx w = Read_indicator.holds t.ri ~tid:ctx.tid w
+let[@inline] holds_write t ctx w = Atomic.get t.wlocks.(w) = ctx.tid + 1
 
-(* The read wait loop (Algorithm 2, lines 56-68): this thread's bit for
-   [w] is set and a foreign writer holds [w]. *)
-let read_lock_wait t ctx w =
+(* The wait loops below are top-level recursive functions that carry
+   their state as arguments: no [spins] ref, no loop closure.  Their
+   backoff starts as [unbuilt], which is shared and never paced; [spin]
+   builds a fresh one on the first spin, so a wait that ends at its
+   first check allocates nothing. *)
+let unbuilt = Util.Backoff.create ()
+
+let spin b =
+  let b = if b == unbuilt then Util.Backoff.create () else b in
+  Util.Backoff.once b;
+  b
+
+(* The end of a lock wait: withdraw it from the wait registry and record
+   it in telemetry. *)
+let wait_done t ctx w ~write ~watch ~t0 ~spins acquired =
+  if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
+  (if !Obs.Telemetry.on then
+     match t.obs with
+     | Some sc ->
+         Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write ~t0_ns:t0 ~spins
+           ~acquired
+     | None -> ());
+  acquired
+
+let rec read_wait t ctx w ~watch ~t0 b spins =
+  if Atomic.get t.wlocks.(w) = 0 then
+    wait_done t ctx w ~write:false ~watch ~t0 ~spins true
+  else begin
+    let ots = ts_of_wlock t ctx w in
+    if watch && ctx.o_tid >= 0 then
+      Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
+    if ots < my_effective_ts ctx then begin
+      (* A higher-priority writer owns the lock: restart. *)
+      Read_indicator.depart t.ri ~tid:ctx.tid w;
+      ctx.preempted <- false;
+      wait_done t ctx w ~write:false ~watch ~t0 ~spins false
+    end
+    else if deadline_blown ctx then begin
+      Read_indicator.depart t.ri ~tid:ctx.tid w;
+      ctx.preempted <- false;
+      ctx.deadline_hit <- true;
+      (* Provenance: pin the deadline abort on the lock we starved on
+         (the conflictor, if any, was recorded by ts_of_wlock). *)
+      ctx.o_lock <- w;
+      wait_done t ctx w ~write:false ~watch ~t0 ~spins false
+    end
+    else begin
+      if !Chaos.on then Chaos.point Chaos.Read_lock_wait;
+      read_wait t ctx w ~watch ~t0 (spin b) (spins + 1)
+    end
+  end
+
+(* The read wait (Algorithm 2, lines 56-68): this thread's bit for [w]
+   is set and a foreign writer holds [w]. *)
+let[@inline never] read_lock_wait t ctx w =
   let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
   take_timestamp t ctx;
   let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
@@ -217,54 +276,13 @@ let read_lock_wait t ctx w =
     Obs.Wait_registry.publish ~tid:ctx.tid ~kind:Obs.Wait_registry.read_wait
       ~table:t.watch_id ~lock:w ~since_ns:(Obs.Telemetry.now_ns ())
       ~observed:(-1);
-  let b = Util.Backoff.create () in
-  let spins = ref 0 in
-  let finish acquired =
-    if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
-    (if !Obs.Telemetry.on then
-       match t.obs with
-       | Some sc ->
-           Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write:false
-             ~t0_ns:t0 ~spins:!spins ~acquired
-       | None -> ());
-    acquired
-  in
-  let rec loop () =
-    if Atomic.get t.wlocks.(w) = 0 then finish true
-    else begin
-      let ots = ts_of_wlock t ctx w in
-      if watch && ctx.o_tid >= 0 then
-        Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
-      if ots < my_effective_ts ctx then begin
-        (* A higher-priority writer owns the lock: restart. *)
-        Read_indicator.depart t.ri ~tid:ctx.tid w;
-        ctx.preempted <- false;
-        finish false
-      end
-      else if deadline_blown ctx then begin
-        Read_indicator.depart t.ri ~tid:ctx.tid w;
-        ctx.preempted <- false;
-        ctx.deadline_hit <- true;
-        (* Provenance: pin the deadline abort on the lock we starved on
-           (the conflictor, if any, was recorded by ts_of_wlock). *)
-        ctx.o_lock <- w;
-        finish false
-      end
-      else begin
-        incr spins;
-        if !Chaos.on then Chaos.point Chaos.Read_lock_wait;
-        Util.Backoff.once b;
-        loop ()
-      end
-    end
-  in
-  loop ()
+  read_wait t ctx w ~watch ~t0 unbuilt 0
 
 (* The read acquire when chaos or telemetry is on.  It keeps the order
    the fast path folds away: probe for a held lock first, so a re-read
    visits no sync point and records no event; then arrive and check,
    with the sync points between them. *)
-let read_lock_observed t ctx w =
+let[@inline never] read_lock_observed t ctx w =
   if holds_read t ctx w || holds_write t ctx w then true
   else if !Chaos.on && Chaos.spurious Chaos.Read_lock_arrive then
     spurious_fail ctx
@@ -285,7 +303,7 @@ let read_lock_observed t ctx w =
 
 (* One load of the owner word decides "already held" and feeds the
    arrive; the write word is loaded only after a fresh arrive. *)
-let try_or_wait_read_lock t ctx w =
+let[@inline] try_or_wait_read_lock t ctx w =
   if !Chaos.on || !Obs.Telemetry.on then read_lock_observed t ctx w
   else
     Read_indicator.arrive_into t.ri ctx.rs ~tid:ctx.tid w
@@ -293,7 +311,67 @@ let try_or_wait_read_lock t ctx w =
     let ws = Atomic.get t.wlocks.(w) in
     ws = 0 || ws = ctx.tid + 1 || read_lock_wait t ctx w
 
-let try_or_wait_write_lock t ctx w =
+let rec write_wait t ctx w ~me ~watch ~t0 b spins =
+  (if Atomic.get t.wlocks.(w) = 0 then
+     ignore (Atomic.compare_and_set t.wlocks.(w) 0 me));
+  if
+    Atomic.get t.wlocks.(w) = me
+    && Read_indicator.is_empty t.ri ~self:ctx.tid w
+  then begin
+    (* Clearing the indicator is fine even if this thread previously
+       held the read lock: the lock is now upgraded. *)
+    Read_indicator.depart t.ri ~tid:ctx.tid w;
+    wait_done t ctx w ~write:true ~watch ~t0 ~spins true
+  end
+  else begin
+    let lowest = lowest_ts t ctx w in
+    if watch && ctx.o_tid >= 0 then
+      Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
+    if lowest < my_effective_ts ctx then begin
+      let owned = Atomic.get t.wlocks.(w) = me in
+      Read_indicator.depart t.ri ~tid:ctx.tid w;
+      if owned then Atomic.set t.wlocks.(w) 0;
+      (* Losing a lock we already owned is the starvation-freedom
+         mechanism preempting us, not a plain failed acquisition. *)
+      ctx.preempted <- owned;
+      wait_done t ctx w ~write:true ~watch ~t0 ~spins false
+    end
+    else if deadline_blown ctx then begin
+      let owned = Atomic.get t.wlocks.(w) = me in
+      Read_indicator.depart t.ri ~tid:ctx.tid w;
+      if owned then Atomic.set t.wlocks.(w) 0;
+      ctx.preempted <- false;
+      ctx.deadline_hit <- true;
+      ctx.o_lock <- w;
+      wait_done t ctx w ~write:true ~watch ~t0 ~spins false
+    end
+    else begin
+      if !Chaos.on then Chaos.point Chaos.Write_lock_wait;
+      write_wait t ctx w ~me ~watch ~t0 (spin b) (spins + 1)
+    end
+  end
+
+(* The contended arm of the write acquire (lines 85-106). *)
+let[@inline never] write_lock_wait t ctx w ~me =
+  let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
+  take_timestamp t ctx;
+  (* Arrive as a reader so concurrent lower-priority writers that win the
+     CAS race see a non-empty indicator and defer to our timestamp
+     (§2.5: bounds the number of writers that can overtake us). *)
+  Read_indicator.arrive t.ri ~tid:ctx.tid w;
+  let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
+  if watch then
+    Obs.Wait_registry.publish ~tid:ctx.tid ~kind:Obs.Wait_registry.write_wait
+      ~table:t.watch_id ~lock:w ~since_ns:(Obs.Telemetry.now_ns ())
+      ~observed:(-1);
+  write_wait t ctx w ~me ~watch ~t0 unbuilt 0
+
+let[@inline never] write_lock_fast_event t ctx =
+  match t.obs with
+  | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Write_lock_fast
+  | None -> ()
+
+let[@inline] try_or_wait_write_lock t ctx w =
   let me = ctx.tid + 1 in
   let ws = Atomic.get t.wlocks.(w) in
   if ws = me then true
@@ -307,87 +385,24 @@ let try_or_wait_write_lock t ctx w =
     && Atomic.compare_and_set t.wlocks.(w) 0 me
     && Read_indicator.is_empty t.ri ~self:ctx.tid w
   then begin
-    if !Obs.Telemetry.on then begin
-      match t.obs with
-      | Some sc -> Obs.Scope.event sc ~tid:ctx.tid Obs.Events.Write_lock_fast
-      | None -> ()
-    end;
+    if !Obs.Telemetry.on then write_lock_fast_event t ctx;
     true
   end
-  else begin
-    let t0 = if !Obs.Telemetry.on then Obs.Telemetry.now_ns () else 0 in
-    take_timestamp t ctx;
-    (* Arrive as a reader so concurrent lower-priority writers that win the
-       CAS race see a non-empty indicator and defer to our timestamp
-       (§2.5: bounds the number of writers that can overtake us). *)
-    Read_indicator.arrive t.ri ~tid:ctx.tid w;
-    let watch = !Obs.Wait_registry.on && t.watch_id >= 0 in
-    if watch then
-      Obs.Wait_registry.publish ~tid:ctx.tid
-        ~kind:Obs.Wait_registry.write_wait ~table:t.watch_id ~lock:w
-        ~since_ns:(Obs.Telemetry.now_ns ()) ~observed:(-1);
-    let b = Util.Backoff.create () in
-    let spins = ref 0 in
-    let finish acquired =
-      if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
-      (if !Obs.Telemetry.on then
-         match t.obs with
-         | Some sc ->
-             Obs.Scope.lock_wait sc ~lock:w ~tid:ctx.tid ~write:true
-               ~t0_ns:t0 ~spins:!spins ~acquired
-         | None -> ());
-      acquired
-    in
-    let rec loop () =
-      (if Atomic.get t.wlocks.(w) = 0 then
-         ignore (Atomic.compare_and_set t.wlocks.(w) 0 me));
-      if
-        Atomic.get t.wlocks.(w) = me
-        && Read_indicator.is_empty t.ri ~self:ctx.tid w
-      then begin
-        (* Clearing the indicator is fine even if this thread previously
-           held the read lock: the lock is now upgraded. *)
-        Read_indicator.depart t.ri ~tid:ctx.tid w;
-        finish true
-      end
-      else begin
-        let lowest = lowest_ts t ctx w in
-        if watch && ctx.o_tid >= 0 then
-          Obs.Wait_registry.set_observed ~tid:ctx.tid ctx.o_tid;
-        if lowest < my_effective_ts ctx then begin
-          let owned = Atomic.get t.wlocks.(w) = me in
-          Read_indicator.depart t.ri ~tid:ctx.tid w;
-          if owned then Atomic.set t.wlocks.(w) 0;
-          (* Losing a lock we already owned is the starvation-freedom
-             mechanism preempting us, not a plain failed acquisition. *)
-          ctx.preempted <- owned;
-          finish false
-        end
-        else if deadline_blown ctx then begin
-          let owned = Atomic.get t.wlocks.(w) = me in
-          Read_indicator.depart t.ri ~tid:ctx.tid w;
-          if owned then Atomic.set t.wlocks.(w) 0;
-          ctx.preempted <- false;
-          ctx.deadline_hit <- true;
-          ctx.o_lock <- w;
-          finish false
-        end
-        else begin
-          incr spins;
-          if !Chaos.on then Chaos.point Chaos.Write_lock_wait;
-          Util.Backoff.once b;
-          loop ()
-        end
-      end
-    in
-    loop ()
-  end
+  else write_lock_wait t ctx w ~me
 
-let read_unlock t ctx w = Read_indicator.depart t.ri ~tid:ctx.tid w
-let read_unlock_all t ctx = Read_indicator.depart_all t.ri ctx.rs
-let write_unlock t ctx w =
+let[@inline] read_unlock t ctx w = Read_indicator.depart t.ri ~tid:ctx.tid w
+let[@inline] read_unlock_all t ctx = Read_indicator.depart_all t.ri ctx.rs
+let[@inline] write_unlock t ctx w =
   ignore ctx;
   Atomic.set t.wlocks.(w) 0
+
+(* Line 26: spin while the conflictor's announcement still equals the
+   timestamp observed. *)
+let rec conflictor_wait t ctx ~otid ~ots b =
+  if Atomic.get t.announce.(otid) = ots && not (deadline_blown ctx) then begin
+    if !Chaos.on then Chaos.point Chaos.Conflictor_wait;
+    conflictor_wait t ctx ~otid ~ots (spin b)
+  end
 
 let wait_for_conflictor t ctx =
   let otid = ctx.o_tid and ots = ctx.o_ts in
@@ -400,11 +415,7 @@ let wait_for_conflictor t ctx =
       Obs.Wait_registry.publish ~tid:ctx.tid
         ~kind:Obs.Wait_registry.conflictor_wait ~table:t.watch_id ~lock:(-1)
         ~since_ns:(Obs.Telemetry.now_ns ()) ~observed:otid;
-    let b = Util.Backoff.create () in
-    while Atomic.get t.announce.(otid) = ots && not (deadline_blown ctx) do
-      if !Chaos.on then Chaos.point Chaos.Conflictor_wait;
-      Util.Backoff.once b
-    done;
+    conflictor_wait t ctx ~otid ~ots unbuilt;
     if watch then Obs.Wait_registry.clear ~tid:ctx.tid;
     if !Obs.Telemetry.on then
       match t.obs with

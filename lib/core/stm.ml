@@ -130,7 +130,7 @@ let begin_attempt tx =
   tx.ctx.deadline_hit <- false;
   tx.abort_reason <- Obs.Events.User_restart
 
-let release_locks tx =
+let[@inline] release_locks tx =
   for i = 0 to Util.Vec.length tx.wset - 1 do
     Rwl_sf.write_unlock tx.tbl tx.ctx (Util.Vec.get tx.wset i)
   done;

@@ -31,14 +31,14 @@ end
 (* The per-access "work" every CC performs on a tuple, shared so all
    concurrency controls pay identical data-access costs. *)
 
-let read_work payload =
+let[@inline] read_work payload =
   let acc = ref 0 in
   for i = 0 to 7 do
     acc := !acc + Char.code (Bytes.get payload i)
   done;
   !acc
 
-let write_work payload =
+let[@inline] write_work payload =
   for i = 0 to 7 do
     Bytes.set payload i (Char.chr ((Char.code (Bytes.get payload i) + 1) land 0xFF))
   done

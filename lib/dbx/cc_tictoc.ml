@@ -155,16 +155,32 @@ let attempt t p (txn : Ycsb.txn) =
         end
       end
     done;
-    (* Write phase. *)
+    (* Write phase: every write lands before any row is stamped, and each
+       locked row is stamped once.  Stamping a row written twice after
+       its first write would unlock it half-applied, and a reader that
+       read it then would still validate against the second, identical
+       stamp. *)
     for i = 0 to Util.Vec.length p.wset - 1 do
-      let rid = Util.Vec.get p.wset i in
-      Cc_intf.write_work (Table.payload t.table rid);
-      Atomic.set t.words.(rid) (pack ~locked:false ~wts:ct ~rts:ct)
+      Cc_intf.write_work (Table.payload t.table (Util.Vec.get p.wset i))
+    done;
+    for i = 0 to Util.Vec.length p.locked - 1 do
+      Atomic.set t.words.(Util.Vec.get p.locked i) (pack ~locked:false ~wts:ct ~rts:ct)
     done;
     true
   with Abort ->
     release_locked t p;
     false
+
+(* A read-only transaction of one access: [attempt]'s read arm, and its
+   commit, at which a lone read validates exactly when the row's word did
+   not change across the read (its commit timestamp is the row's wts, at
+   most its rts). *)
+let rec read_row t rid =
+  let w = stable_word t rid in
+  let copy = Bytes.copy (Table.payload t.table rid) in
+  if Atomic.get t.words.(rid) = w then copy else read_row t rid
+
+let read_copy t key = read_row t (Table.lookup t.table key)
 
 let execute t ~tid txn =
   let p = Per_worker.get t.workers tid in

@@ -8,3 +8,8 @@
     the property trade-off §3.5 discusses. *)
 
 include Cc_intf.CC
+
+val read_copy : t -> int -> Bytes.t
+(** [read_copy t key] runs a read-only transaction that reads [key]'s row
+    and returns a copy of the payload bytes it validated.
+    @raise Not_found for a key outside the table. *)

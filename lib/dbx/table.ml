@@ -43,14 +43,14 @@ let rec probe t key slot =
 
 let lookup t key = probe t key (hash_key key land t.bucket_mask)
 
-let payload t rid = t.payloads.(rid)
+let[@inline] payload t rid = t.payloads.(rid)
 
 (* Row ids of [keys] into [rids], with one load from each cache line a
    tuple can span: 100 bytes after an 8-byte-aligned header cover two
    64-byte lines or, at half the offsets the major heap gives them,
    three.  [Sys.opaque_identity] keeps the compiler from dropping loads
-   whose values nobody uses.  One call per transaction: under dune's
-   default profile every call across modules is indirect. *)
+   whose values nobody uses.  One call per transaction rather than one
+   per key. *)
 let resolve t (keys : int array) rids =
   for i = 0 to Array.length keys - 1 do
     let rid = lookup t keys.(i) in

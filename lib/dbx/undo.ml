@@ -17,13 +17,14 @@ let length u = Util.Vec.length u.rids
 let is_empty u = Util.Vec.is_empty u.rids
 let rid u = u.rid
 
-let save u table rid =
+let[@inline never] grow u off =
+  let bigger = Bytes.create (2 * off) in
+  Bytes.blit u.images 0 bigger 0 off;
+  u.images <- bigger
+
+let[@inline] save u table rid =
   let off = Util.Vec.length u.rids * Table.tuple_size in
-  if off = Bytes.length u.images then begin
-    let bigger = Bytes.create (2 * off) in
-    Bytes.blit u.images 0 bigger 0 off;
-    u.images <- bigger
-  end;
+  if off = Bytes.length u.images then grow u off;
   Bytes.blit (Table.payload table rid) 0 u.images off Table.tuple_size;
   Util.Vec.push u.rids rid
 

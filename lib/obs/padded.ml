@@ -15,7 +15,7 @@ type t = int array
 
 let create () = Array.make (Util.Tid.max_threads * stride) 0
 
-let incr t ~tid =
+let[@inline] incr t ~tid =
   let i = tid * stride in
   t.(i) <- t.(i) + 1
 

@@ -12,8 +12,8 @@ type t = { commits : Padded.t; aborts : Padded.t; clock : Padded.t }
 let create () =
   { commits = Padded.create (); aborts = Padded.create (); clock = Padded.create () }
 
-let commit t ~tid = Padded.incr t.commits ~tid
-let abort t ~tid = Padded.incr t.aborts ~tid
+let[@inline] commit t ~tid = Padded.incr t.commits ~tid
+let[@inline] abort t ~tid = Padded.incr t.aborts ~tid
 let clock_op t ~tid = Padded.incr t.clock ~tid
 let commits t = Padded.sum t.commits
 let aborts t = Padded.sum t.aborts

@@ -29,7 +29,7 @@ let[@inline] step t =
 let next t = step t
 
 let hash4 a b c d =
-  let absorb z x = mix64 (Int64.add (Int64.logxor z (Int64.of_int x)) golden) in
+  let[@inline] absorb z x = mix64 (Int64.add (Int64.logxor z (Int64.of_int x)) golden) in
   let z = mix64 (Int64.add (Int64.of_int a) golden) in
   let z = absorb z b in
   let z = absorb z c in

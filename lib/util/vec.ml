@@ -5,17 +5,17 @@ let create ?(capacity = 16) ~dummy () =
 
 let length t = t.len
 
-let grow t =
+let[@inline never] grow t =
   let a' = Array.make (2 * Array.length t.a) t.dummy in
   Array.blit t.a 0 a' 0 t.len;
   t.a <- a'
 
-let push t x =
+let[@inline] push t x =
   if t.len = Array.length t.a then grow t;
   t.a.(t.len) <- x;
   t.len <- t.len + 1
 
-let get t i =
+let[@inline] get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.a.(i)
 

@@ -182,6 +182,50 @@ let cc_upgrade_paths (name, cc) =
   in
   Alcotest.test_case (name ^ " upgrade paths") `Quick test
 
+(* TicToc's write phase with a row written twice in one transaction: a
+   reader racing a stream of such transactions must never validate the
+   row with one of the two writes applied.  Each committed transaction
+   adds 2 to every one of the row's first 8 bytes, so every validated
+   copy differs from the start by an even amount in each of them. *)
+let test_tictoc_double_write_not_torn () =
+  let table = Dbx.Table.create ~num_rows:32 in
+  let state = Dbx.Cc_tictoc.create table in
+  let key = 9 in
+  let start = Dbx.Cc_tictoc.read_copy state key in
+  let txn = { Dbx.Ycsb.keys = [| key; key |]; ops = [| Dbx.Ycsb.Write; Dbx.Ycsb.Write |] } in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let tid = Util.Tid.register () in
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          ignore (Dbx.Cc_tictoc.execute state ~tid txn);
+          incr n
+        done;
+        Util.Tid.release ();
+        !n)
+  in
+  let half_applied b =
+    let odd = ref false in
+    for i = 0 to 7 do
+      if (Char.code (Bytes.get b i) - Char.code (Bytes.get start i)) land 1 <> 0
+      then odd := true
+    done;
+    !odd
+  in
+  let torn = ref 0 in
+  let deadline = Unix.gettimeofday () +. 0.3 in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      while Unix.gettimeofday () < deadline do
+        if half_applied (Dbx.Cc_tictoc.read_copy state key) then incr torn
+      done);
+  let writes = Domain.join writer in
+  if writes = 0 then Alcotest.fail "the writer committed nothing";
+  check Alcotest.int "validated reads with one write applied" 0 !torn;
+  check Alcotest.int "no leaked locks" 0 (Dbx.Cc_tictoc.leaked_locks state)
+
 (* Worker contexts are built lazily, each by its own worker: none after
    [create], one per executing tid, the same one on every call, and
    distinct ones for two domains sharing the engine. *)
@@ -471,6 +515,11 @@ let () =
         ] );
       ("cc single-thread", List.map cc_single_thread Dbx.Runner.ccs);
       ("cc upgrade paths", List.map cc_upgrade_paths Dbx.Runner.ccs);
+      ( "cc tictoc",
+        [
+          Alcotest.test_case "double write never validated half-applied" `Quick
+            test_tictoc_double_write_not_torn;
+        ] );
       ("cc concurrent", List.map cc_concurrent Dbx.Runner.ccs);
       ("cc high contention", List.map cc_high_contention Dbx.Runner.ccs);
       ("cc worker contexts", List.map cc_worker_contexts Dbx.Runner.ccs);

@@ -235,14 +235,64 @@ let test_clear_announcement () =
   check Alcotest.int "o_tid" (-1) c.o_tid;
   check Alcotest.int "announce slot" 0 (L.announced t 0)
 
+(* Minor words per call of [f], over [n] calls after one warm-up. *)
+let minor_words_per_call n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
 let test_wait_for_conflictor_returns_when_cleared () =
   let t = fresh () in
   let c = L.make_ctx ~tid:0 in
-  (* Conflictor already moved on: returns immediately. *)
-  c.o_tid <- 1;
-  c.o_ts <- 42 (* announce slot of tid 1 is 0 <> 42 *);
-  L.wait_for_conflictor t c;
-  check Alcotest.int "cleared o_tid" (-1) c.o_tid
+  (* Conflictor already moved on: returns immediately, allocating
+     nothing. *)
+  let wait () =
+    c.o_tid <- 1;
+    c.o_ts <- 42 (* announce slot of tid 1 is 0 <> 42 *);
+    L.wait_for_conflictor t c
+  in
+  let words = minor_words_per_call 100 wait in
+  check Alcotest.int "cleared o_tid" (-1) c.o_tid;
+  if words >= 1. then Alcotest.failf "%.1f minor words per wait" words
+
+(* A read that meets a foreign writer enters the wait; the writer lets go
+   inside the wait's timestamp draw (the chaos hook at [Clock_announce],
+   with every fault class off), so the wait's first re-check acquires.
+   Such a wait builds no backoff, no spin counter and no closure. *)
+let test_read_wait_first_recheck_allocates_nothing () =
+  let t = fresh () in
+  let reader = L.make_ctx ~tid:0 and writer = L.make_ctx ~tid:1 in
+  let w = 5 in
+  let waits = ref 0 and acquired = ref 0 in
+  (* No [check] inside the measured rounds: Alcotest's checks allocate. *)
+  let round () =
+    if L.try_or_wait_write_lock t writer w && L.try_or_wait_read_lock t reader w
+    then incr acquired;
+    L.read_unlock_all t reader;
+    L.clear_announcement t reader
+  in
+  Twoplsf_chaos.Chaos.hook :=
+    Some
+      (fun site ->
+        if site = Twoplsf_chaos.Chaos.Clock_announce then begin
+          incr waits;
+          L.write_unlock t writer w
+        end);
+  Twoplsf_chaos.Chaos.enable ~config:Twoplsf_chaos.Chaos.quiet ();
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        Twoplsf_chaos.Chaos.disable ();
+        Twoplsf_chaos.Chaos.hook := None)
+      (fun () -> minor_words_per_call 100 round)
+  in
+  check Alcotest.int "every round acquired" 101 !acquired;
+  check Alcotest.int "every read waited" 101 !waits;
+  check Alcotest.int "nothing leaked" 0 (L.leaked t);
+  if words >= 1. then Alcotest.failf "%.1f minor words per read wait" words
 
 let test_wait_for_conflictor_blocks_until_commit () =
   let t = fresh () in
@@ -548,6 +598,8 @@ let () =
             test_wait_for_conflictor_returns_when_cleared;
           Alcotest.test_case "wait_for_conflictor blocks" `Quick
             test_wait_for_conflictor_blocks_until_commit;
+          Alcotest.test_case "read wait acquired at first re-check, no allocation"
+            `Quick test_read_wait_first_recheck_allocates_nothing;
         ] );
       ( "read set",
         [
